@@ -7,7 +7,7 @@ JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
         sanitize bench report report-par clean-cache perf perf-baseline \
-        ablate ablate-smoke build-kernel clean-kernel chaos chaos-smoke
+        ablate ablate-smoke chaos chaos-smoke
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -73,12 +73,6 @@ report:          ## regenerate every experiment with paper-vs-measured
 
 report-par:      ## same, fanned out over JOBS worker processes
 	$(PYPATH) $(PY) -m repro.harness.runner all --jobs $(JOBS)
-
-build-kernel:    ## compile the optional flat-kernel C core (mypyc/Cython)
-	$(PY) tools/build_kernel.py
-
-clean-kernel:    ## remove the compiled flat-kernel extension
-	$(PY) tools/build_kernel.py --clean
 
 clean-cache:     ## drop the on-disk sweep result cache
 	rm -rf .rcc-cache

@@ -31,61 +31,44 @@ from repro.noc.crossbar import Crossbar
 from repro.timing.engine import Engine
 
 
-def _install_counter_properties(cls: type) -> type:
-    """Expose each ``FIELDS`` name as a property over the backing list.
-
-    The counters live in one ``List[int]`` (``self.c``) so the compilable
-    flat kernel (:mod:`repro.kernel.hot`) can bump them by integer index
-    without attribute access; every existing ``stats.loads += 1`` call
-    site keeps working through these properties."""
-    for i, field in enumerate(cls.FIELDS):
-        def getter(self, _i: int = i) -> int:
-            return self.c[_i]
-
-        def setter(self, value: int, _i: int = i) -> None:
-            self.c[_i] = value
-
-        setattr(cls, field, property(getter, setter))
-    return cls
-
-
-@_install_counter_properties
 class L1Stats:
-    """Superset of per-L1 counters used across protocols.
-
-    ``load_expired``: loads that found the block in V state but with an
-    expired lease (RCC/TC) — the numerator of the paper's Fig. 6 (left).
-    Field order is part of the flat-kernel ABI (``hot.ST1_*`` indices are
-    pinned against ``FIELDS`` by the kernel test battery)."""
-
-    FIELDS = ("loads", "load_hits", "load_misses", "load_expired", "stores",
-              "atomics", "renews_received", "invalidations_received",
-              "self_invalidations", "evictions", "flushes")
-
-    __slots__ = ("c",)
+    """Superset of per-L1 counters used across protocols."""
 
     def __init__(self) -> None:
-        self.c = [0] * len(self.FIELDS)
+        self.loads = 0
+        self.load_hits = 0
+        self.load_misses = 0
+        #: Loads that found the block in V state but with an expired lease
+        #: (RCC/TC) — the numerator of the paper's Fig. 6 (left).
+        self.load_expired = 0
+        self.stores = 0
+        self.atomics = 0
+        self.renews_received = 0
+        self.invalidations_received = 0
+        self.self_invalidations = 0
+        self.evictions = 0
+        self.flushes = 0
 
 
-@_install_counter_properties
 class L2Stats:
-    """Per-L2-bank counters.
-
-    ``gets_expired``: GETS requests from expired L1 copies (Fig. 6 right
-    denominator); ``renew_grants``: ... of which the block was unchanged
-    and a RENEW was granted; ``store_lease_wait_cycles``: TCS only, cycles
-    stores spent waiting for leases to expire. Field order is part of the
-    flat-kernel ABI (see :class:`L1Stats`)."""
-
-    FIELDS = ("gets", "writes", "atomics", "hits", "misses", "evictions",
-              "writebacks", "gets_expired", "renew_grants",
-              "invalidations_sent", "store_lease_wait_cycles", "rollovers")
-
-    __slots__ = ("c",)
+    """Per-L2-bank counters."""
 
     def __init__(self) -> None:
-        self.c = [0] * len(self.FIELDS)
+        self.gets = 0
+        self.writes = 0
+        self.atomics = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.writebacks = 0
+        #: GETS requests from expired L1 copies (Fig. 6 right denominator)
+        self.gets_expired = 0
+        #: ... of which the block was unchanged and a RENEW was granted.
+        self.renew_grants = 0
+        self.invalidations_sent = 0
+        #: TCS only: cycles stores spent waiting for leases to expire.
+        self.store_lease_wait_cycles = 0
+        self.rollovers = 0
 
 
 class L1ControllerBase:

@@ -307,7 +307,7 @@ class MESIL2Controller(L2ControllerBase):
                     return True
                 return len(entries) >= capacity and block not in entries
 
-            ring = getattr(engine, "_ring", None)  # None under the legacy engine
+            ring = getattr(engine, "_ring", None)  # None on a ringless engine
             if msg.kind is MsgKind.GETS:
                 def cb() -> None:
                     if blocked():

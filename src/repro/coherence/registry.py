@@ -55,31 +55,17 @@ class ProtocolInstance:
 # Per-protocol builders
 # ----------------------------------------------------------------------
 
-def _use_flat_kernel() -> bool:
-    """Flat-vs-object controller selection, re-checked per build (the
-    differential tests and ``--compare-legacy`` flip it between runs)."""
-    from repro.kernel import flat_kernel_enabled
-    return flat_kernel_enabled()
-
-
 def _build_rcc(name: str, engine, cfg: GPUConfig, noc, amap, drams,
                backing) -> ProtocolInstance:
     rollover = RolloverManager(
         engine,
         threshold=cfg.ts.max_timestamp - timestamp_guard_band(cfg.ts.lease_max),
     )
-    if _use_flat_kernel():
-        from repro.kernel.rcc import (FlatRCCL1Controller,
-                                      FlatRCCL2Controller,
-                                      FlatRCCWOL1Controller)
-        l1_cls = FlatRCCL1Controller if name == "RCC" else FlatRCCWOL1Controller
-        l2_cls = FlatRCCL2Controller
-    else:
-        l1_cls = RCCL1Controller if name == "RCC" else RCCWOL1Controller
-        l2_cls = RCCL2Controller
+    l1_cls = RCCL1Controller if name == "RCC" else RCCWOL1Controller
     l1s = [l1_cls(i, engine, cfg, noc, amap, rollover)
            for i in range(cfg.n_cores)]
-    l2s = [l2_cls(j, engine, cfg, noc, amap, drams[j], backing, rollover)
+    l2s = [RCCL2Controller(j, engine, cfg, noc, amap, drams[j], backing,
+                           rollover)
            for j in range(cfg.l2_banks)]
     rollover.wire(l1s, l2s, drams)
     return ProtocolInstance(name, l1s, l2s, rollover)
@@ -98,15 +84,9 @@ def _build_tc(name: str, engine, cfg: GPUConfig, noc, amap, drams,
 
 def _build_mesi(name: str, engine, cfg: GPUConfig, noc, amap, drams,
                 backing) -> ProtocolInstance:
-    if _use_flat_kernel():
-        from repro.kernel.mesi import (FlatMESIL1Controller,
-                                       FlatMESIL2Controller)
-        l1_cls, l2_cls = FlatMESIL1Controller, FlatMESIL2Controller
-    else:
-        l1_cls, l2_cls = MESIL1Controller, MESIL2Controller
-    l1s = [l1_cls(i, engine, cfg, noc, amap)
+    l1s = [MESIL1Controller(i, engine, cfg, noc, amap)
            for i in range(cfg.n_cores)]
-    l2s = [l2_cls(j, engine, cfg, noc, amap, drams[j], backing)
+    l2s = [MESIL2Controller(j, engine, cfg, noc, amap, drams[j], backing)
            for j in range(cfg.l2_banks)]
     return ProtocolInstance(name, l1s, l2s)
 

@@ -481,7 +481,7 @@ class TCL2Controller(L2ControllerBase):
                 # the method call itself is measurable. ``_ring`` is never
                 # rebound; ``_ring_cycles`` can be (``_park``), so it is
                 # read through the engine each time.
-                ring = getattr(engine, "_ring", None)  # None under the legacy engine
+                ring = getattr(engine, "_ring", None)  # None on a ringless engine
                 if is_read:
                     def cb() -> None:
                         if (cache_map.get(block) is None

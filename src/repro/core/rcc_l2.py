@@ -134,7 +134,7 @@ class RCCL2Controller(L2ControllerBase):
             valid = L2State.V
             iav = L2State.IAV
 
-            ring = getattr(engine, "_ring", None)  # None under the legacy engine
+            ring = getattr(engine, "_ring", None)  # None on a ringless engine
 
             def cb() -> None:
                 if not self.frozen and not rollover.in_progress:

@@ -86,7 +86,6 @@ def cell_key(cell: SimCell, version: Optional[str] = None) -> str:
     if version is None:
         import repro
         version = repro.__version__
-    from repro.kernel import kernel_description
     blob = json.dumps(
         {
             "cfg": dataclasses.asdict(cell.cfg),
@@ -96,10 +95,6 @@ def cell_key(cell: SimCell, version: Optional[str] = None) -> str:
             "seed": cell.seed,
             "ts_overrides": [[k, v] for k, v in cell.ts_overrides],
             "version": version,
-            # The kernels are differential-tested bit-identical, but a
-            # cached result must never paper over a divergence: the
-            # selected kernel is part of the cell's identity.
-            "kernel": kernel_description(),
         },
         sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -9,22 +9,13 @@ requests).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
-#: Global LRU clock, boxed in a one-element list so the compilable flat
-#: kernel (``repro.kernel.hot``) can consume ticks from the same sequence
-#: without a Python function call: both kernels share this box, keeping
-#: victim selection bit-identical across object/flat/compiled paths.
-_lru_clock: List[int] = [0]
-
-
-def _next_lru() -> int:
-    t = _lru_clock[0] + 1
-    _lru_clock[0] = t
-    return t
+_lru_ticks = itertools.count()
 
 
 class CacheLine:
@@ -43,10 +34,10 @@ class CacheLine:
         self.sharers: set = set()       # MESI directory sharer list
         self.pinned: bool = False       # ineligible for eviction (transient)
         self.meta: Dict[str, Any] = {}  # protocol-private extras
-        self._lru = _next_lru()
+        self._lru = next(_lru_ticks)
 
     def touch(self) -> None:
-        self._lru = _next_lru()
+        self._lru = next(_lru_ticks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Line 0x{self.addr:x} {self.state} ver={self.ver} "

@@ -23,19 +23,15 @@ from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import SimCell, run_cell
 
-BENCH_SCHEMA = 2
+BENCH_SCHEMA = 3
 
-ABLATION_SCHEMA = 2
+ABLATION_SCHEMA = 3
 
 
 def provenance() -> Dict[str, Any]:
-    """Where a report's numbers came from: git revision, the kernel that
-    actually ran (flat vs object, compiled vs interpreted), and the
+    """Where a report's numbers came from: git revision and the
     interpreter. Stamped into every BENCH_*/ABLATION_* report so a
-    committed artifact is self-describing — a compiled-kernel CI number
-    can never be mistaken for an interpreted local one."""
-    from repro import kernel
-
+    committed artifact is self-describing."""
     here = os.path.dirname(os.path.abspath(__file__))
     sha = "unknown"
     dirty = False
@@ -52,8 +48,6 @@ def provenance() -> Dict[str, Any]:
     return {
         "git_sha": sha,
         "git_dirty": dirty,
-        "kernel": kernel.kernel_description(),
-        "kernel_compiled": kernel.COMPILED,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -177,15 +171,8 @@ def profile_cell(cell: SimCell, top_n: int = 15) -> List[Dict[str, Any]]:
 
 
 def run_bench(quick: bool = False,
-              compare_legacy: bool = False,
               profile_top: int = 0) -> Dict[str, Any]:
     """Run the benchmark suite; returns the report dict.
-
-    With ``compare_legacy``, every cell is re-run on the pre-optimization
-    heap engine (``RCC_LEGACY_ENGINE=1``) and the report gains a
-    ``legacy`` block per cell plus the end-to-end speedup ratio. The two
-    runs must produce identical result payloads — the engines share one
-    determinism contract — and a mismatch raises immediately.
 
     With ``profile_top`` > 0, every cell is re-run under cProfile after
     its timing run and the report gains a per-cell ``profile`` block with
@@ -203,26 +190,12 @@ def run_bench(quick: bool = False,
     }
     total_wall = 0.0
     total_events = 0
-    legacy_wall = 0.0
     for cell in cells:
-        entry, result = _measure(cell)
+        entry, _ = _measure(cell)
         entry["events_per_s_normalized"] = round(
             entry["events_per_s"] / calibration, 6)
         if profile_top > 0:
             entry["profile"] = profile_cell(cell, top_n=profile_top)
-        if compare_legacy:
-            os.environ["RCC_LEGACY_ENGINE"] = "1"
-            try:
-                legacy_entry, legacy_result = _measure(cell)
-            finally:
-                del os.environ["RCC_LEGACY_ENGINE"]
-            if legacy_result.to_payload() != result.to_payload():
-                raise AssertionError(
-                    f"legacy/fast engine payload mismatch on {cell.label}")
-            entry["legacy"] = legacy_entry
-            entry["speedup_vs_legacy"] = round(
-                legacy_entry["wall_s"] / entry["wall_s"], 3)
-            legacy_wall += legacy_entry["wall_s"]
         report["cells"][cell.label] = entry
         total_wall += entry["wall_s"]
         total_events += entry["events"]
@@ -232,10 +205,6 @@ def run_bench(quick: bool = False,
         "events_per_s": round(total_events / total_wall, 1)
         if total_wall > 0 else 0.0,
     }
-    if compare_legacy and total_wall > 0:
-        report["totals"]["legacy_wall_s"] = round(legacy_wall, 6)
-        report["totals"]["speedup_vs_legacy"] = round(
-            legacy_wall / total_wall, 3)
     return report
 
 

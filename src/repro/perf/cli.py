@@ -4,7 +4,6 @@ Typical uses::
 
     repro-perf                         # full suite, writes BENCH_<date>.json
     repro-perf --quick                 # CI smoke subset on the small machine
-    repro-perf --compare-legacy        # also time the pre-optimization engine
     repro-perf --quick --profile 10    # per-cell cProfile top-10 in the report
     repro-perf --baseline benchmarks/perf_baseline.json --check
     repro-perf --baseline benchmarks/perf_baseline.json --update-baseline
@@ -34,27 +33,20 @@ def _render(report: dict) -> str:
         dirty = "+dirty" if prov.get("git_dirty") else ""
         lines.append(
             f"  provenance: {prov.get('git_sha', 'unknown')[:12]}{dirty}  "
-            f"kernel={prov.get('kernel')}  "
             f"python={prov.get('python')}")
     for label, cell in report["cells"].items():
-        line = (f"  {label:<12} {cell['wall_s']:8.3f}s  "
-                f"{cell['events']:>9} events  "
-                f"{cell['events_per_s'] / 1e3:8.1f}k ev/s")
-        if "speedup_vs_legacy" in cell:
-            line += f"  ({cell['speedup_vs_legacy']:.2f}x vs legacy)"
-        lines.append(line)
+        lines.append(f"  {label:<12} {cell['wall_s']:8.3f}s  "
+                     f"{cell['events']:>9} events  "
+                     f"{cell['events_per_s'] / 1e3:8.1f}k ev/s")
         for row in cell.get("profile", []):
             lines.append(
                 f"      {row['cumtime_s']:8.3f}s cum  "
                 f"{row['tottime_s']:8.3f}s self  "
                 f"{row['ncalls']:>9}x  {row['func']}")
     totals = report["totals"]
-    line = (f"  {'total':<12} {totals['wall_s']:8.3f}s  "
-            f"{totals['events']:>9} events  "
-            f"{totals['events_per_s'] / 1e3:8.1f}k ev/s")
-    if "speedup_vs_legacy" in totals:
-        line += f"  ({totals['speedup_vs_legacy']:.2f}x vs legacy)"
-    lines.append(line)
+    lines.append(f"  {'total':<12} {totals['wall_s']:8.3f}s  "
+                 f"{totals['events']:>9} events  "
+                 f"{totals['events_per_s'] / 1e3:8.1f}k ev/s")
     return "\n".join(lines)
 
 
@@ -76,10 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default 0.20)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="write this run's report to --baseline")
-    parser.add_argument("--compare-legacy", action="store_true",
-                        help="re-run each cell on the legacy heap engine "
-                             "and report the speedup (asserts identical "
-                             "result payloads)")
     parser.add_argument("--profile", nargs="?", type=int, const=15,
                         default=0, metavar="N",
                         help="re-run each cell under cProfile and report "
@@ -110,9 +98,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.check or args.update_baseline) and not args.baseline:
         parser.error("--check/--update-baseline require --baseline")
     if args.lease_ablation and (args.check or args.update_baseline
-                                or args.compare_legacy or args.profile):
-        parser.error("--lease-ablation does not combine with baseline, "
-                     "legacy-engine, or profile modes")
+                                or args.profile):
+        parser.error("--lease-ablation does not combine with baseline "
+                     "or profile modes")
 
     if args.lease_ablation:
         executor = None
@@ -132,8 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"report written to {out}")
         return 0
 
-    report = run_bench(quick=args.quick, compare_legacy=args.compare_legacy,
-                       profile_top=args.profile)
+    report = run_bench(quick=args.quick, profile_top=args.profile)
     print(_render(report))
 
     out = args.out or _default_out()

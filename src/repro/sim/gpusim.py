@@ -32,7 +32,7 @@ from repro.mem.dram import DRAMPartition
 from repro.noc.crossbar import Crossbar
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim.results import SimResult
-from repro.timing import make_engine
+from repro.timing.engine import Engine
 
 
 class GPUSimulator:
@@ -54,7 +54,7 @@ class GPUSimulator:
         self.record_ops = record_ops
 
         reset_op_seq()
-        self.engine = make_engine(max_cycles=cfg.max_cycles)
+        self.engine = Engine(max_cycles=cfg.max_cycles)
         self.amap = AddressMap(cfg.l1.block_bytes, cfg.l2_banks)
         self.noc = Crossbar(
             self.engine, cfg.noc, block_bytes=cfg.l1.block_bytes,

@@ -6,7 +6,7 @@ scheduling order, so events scheduled for the same cycle fire in
 scheduling order and every simulation is fully deterministic — two runs
 with the same configuration and workload produce bit-identical statistics.
 ``tests/test_engine_differential.py`` checks this equivalence against the
-original engine (kept as :class:`repro.timing.legacy.LegacyEngine`).
+original engine, which it keeps as its oracle.
 
 What changed is the data structure behind that contract. Profiles of the
 Fig. 9 sweep showed most events land within a few hundred cycles of ``now``
@@ -58,7 +58,6 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.kernel import hot as _hot
 
 Callback = Callable[[], None]
 
@@ -117,8 +116,7 @@ class Engine:
 
     __slots__ = ("now", "max_cycles", "_seq", "_events_fired", "_stopped",
                  "_live", "_ring", "_ring_cycles", "_far", "_horizon",
-                 "_cur", "_cur_idx", "_cur_cycle", "_pool", "_drain_ctl",
-                 "_ring_has_ev", "diagnostics")
+                 "_cur", "_cur_idx", "_cur_cycle", "_pool", "diagnostics")
 
     def __init__(self, max_cycles: int = 500_000_000):
         self.now: int = 0
@@ -150,17 +148,6 @@ class Engine:
         self._cur_cycle = -1
         #: Free list of recycled schedule_call events.
         self._pool: List[Event] = []
-        #: Drain-control box shared with :func:`repro.kernel.hot.drain_calls`:
-        #: [stop requested, resume index, Event appended to the current
-        #: bucket mid-drain, fired count]. A plain int list so the compiled
-        #: kernel can read/write it without attribute access.
-        self._drain_ctl: List[int] = [0, 0, 0, 0]
-        #: Per-bucket "may hold :class:`Event` objects" flags. False means
-        #: the bucket holds only bare ``schedule_call`` callbacks and
-        #: ``None`` holes — the shape the batch drain kernel accepts.
-        #: Conservative: set on every Event append, cleared only when the
-        #: bucket's cycle retires or the bucket is evicted.
-        self._ring_has_ev: List[bool] = [False] * _RING
         #: Optional () -> str hook appended to DeadlockError messages
         #: (the sanitizer attaches its recent-event tail here).
         self.diagnostics: Optional[Callable[[], str]] = None
@@ -183,12 +170,6 @@ class Engine:
             if not bucket:
                 heapq.heappush(self._ring_cycles, cycle)
             bucket.append(ev)
-            self._ring_has_ev[cycle & _MASK] = True
-            if cycle == self._cur_cycle:
-                # A handle-carrying event landed in the bucket being
-                # drained: kick the batch drain back to the Python loop,
-                # which knows how to fire Events.
-                self._drain_ctl[2] = 1
         else:
             heapq.heappush(self._far, ev)
         return ev
@@ -247,7 +228,6 @@ class Engine:
         """Drop the drained cursor bucket (its cycle is now in the past)."""
         del self._cur[:]
         self._cur = None
-        self._ring_has_ev[self._cur_cycle & _MASK] = False
 
     def _acquire_next_cycle(self) -> bool:
         """Point the cursor at the earliest nonempty cycle, migrating far
@@ -283,7 +263,6 @@ class Engine:
                 if not bucket and ev.cycle != nxt:
                     heapq.heappush(rc, ev.cycle)
                 bucket.append(ev)
-                self._ring_has_ev[ev.cycle & _MASK] = True
         self._horizon = horizon
         self._cur = self._ring[nxt & _MASK]
         self._cur_idx = 0
@@ -356,7 +335,6 @@ class Engine:
             heapq.heappush(far, ev)
         self._seq = seq
         del bucket[:]
-        self._ring_has_ev[cycle & _MASK] = False
 
     def _raise_horizon(self) -> None:
         detail = (f"event horizon exceeded max_cycles="
@@ -372,7 +350,6 @@ class Engine:
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
         self._stopped = True
-        self._drain_ctl[0] = 1
 
     def step(self) -> bool:
         """Fire the next pending event. Returns False when none remain."""
@@ -476,25 +453,6 @@ class Engine:
                                 ev.cancelled = True
                         self._raise_horizon()
                 else:
-                    if not self._ring_has_ev[cyc & _MASK]:
-                        # Steady-state cycles hold only bare schedule_call
-                        # callbacks: hand the whole bucket to the compilable
-                        # drain kernel. It returns on stop(), on a raise, or
-                        # when a callback schedule()s an Event into this
-                        # very bucket (ctl[2]); the Python loop below picks
-                        # up from the reconciled cursor either way.
-                        ctl = self._drain_ctl
-                        ctl[0] = 0
-                        ctl[1] = idx
-                        ctl[2] = 0
-                        ctl[3] = fired
-                        try:
-                            _hot.drain_calls(lst, ctl)
-                        finally:
-                            idx = ctl[1]
-                            fired = ctl[3]
-                        if self._stopped:
-                            return
                     while idx < len(lst):
                         ev = lst[idx]
                         idx += 1

@@ -1,48 +1,36 @@
-"""Unit tests for the set-associative cache array.
-
-Parametrized over both tag-array implementations — the object
-``CacheArray`` and the flat-column ``FlatTagArray`` — which must honor
-the same contract (the flat kernel swaps one for the other underneath
-unmodified controller cold paths).
-"""
+"""Unit tests for the set-associative cache array."""
 
 import pytest
 
 from repro.common.types import L1State
 from repro.config import CacheConfig
 from repro.errors import SimulationError
-from repro.kernel.layout import FlatTagArray
 from repro.mem.cache_array import CacheArray
 
 
-@pytest.fixture(params=[CacheArray, FlatTagArray], ids=["object", "flat"])
-def arr_cls(request):
-    return request.param
+def make_array(size=1024, assoc=2, block=128):
+    return CacheArray(CacheConfig(size_bytes=size, assoc=assoc,
+                                  block_bytes=block), L1State.I)
 
 
-def make_array(arr_cls, size=1024, assoc=2, block=128):
-    return arr_cls(CacheConfig(size_bytes=size, assoc=assoc,
-                               block_bytes=block), L1State.I)
-
-
-def test_insert_and_lookup(arr_cls):
-    arr = make_array(arr_cls)
+def test_insert_and_lookup():
+    arr = make_array()
     line = arr.insert(0x100, L1State.V)
     assert arr.lookup(0x100) is line
     assert arr.lookup(0x17F) is line  # same block
     assert arr.lookup(0x200) is None
 
 
-def test_insert_existing_resets_state(arr_cls):
-    arr = make_array(arr_cls)
+def test_insert_existing_resets_state():
+    arr = make_array()
     arr.insert(0x100, L1State.V)
     line = arr.insert(0x100, L1State.IV)
     assert line.state is L1State.IV
     assert arr.occupancy() == 1
 
 
-def test_lru_eviction_order(arr_cls):
-    arr = make_array(arr_cls, size=512, assoc=2)  # 2 sets of 2
+def test_lru_eviction_order():
+    arr = make_array(size=512, assoc=2)  # 2 sets of 2
     n_sets = arr.n_sets
     stride = 128 * n_sets  # same set
     evicted = []
@@ -54,8 +42,8 @@ def test_lru_eviction_order(arr_cls):
     assert arr.lookup(0) is not None
 
 
-def test_invalid_lines_preferred_victims(arr_cls):
-    arr = make_array(arr_cls, size=512, assoc=2)
+def test_invalid_lines_preferred_victims():
+    arr = make_array(size=512, assoc=2)
     stride = 128 * arr.n_sets
     arr.insert(0, L1State.V)
     inv = arr.insert(stride, L1State.V)
@@ -66,8 +54,8 @@ def test_invalid_lines_preferred_victims(arr_cls):
     assert [ln.addr for ln in evicted] == [stride]
 
 
-def test_pinned_lines_never_evicted(arr_cls):
-    arr = make_array(arr_cls, size=512, assoc=2)
+def test_pinned_lines_never_evicted():
+    arr = make_array(size=512, assoc=2)
     stride = 128 * arr.n_sets
     arr.insert(0, L1State.IV).pinned = True
     arr.insert(stride, L1State.IV).pinned = True
@@ -76,8 +64,8 @@ def test_pinned_lines_never_evicted(arr_cls):
         arr.insert(2 * stride, L1State.V)
 
 
-def test_can_allocate_when_space_or_victim(arr_cls):
-    arr = make_array(arr_cls, size=512, assoc=2)
+def test_can_allocate_when_space_or_victim():
+    arr = make_array(size=512, assoc=2)
     stride = 128 * arr.n_sets
     assert arr.can_allocate(0)
     arr.insert(0, L1State.V)
@@ -86,8 +74,8 @@ def test_can_allocate_when_space_or_victim(arr_cls):
     assert arr.can_allocate(0)           # already present
 
 
-def test_remove(arr_cls):
-    arr = make_array(arr_cls)
+def test_remove():
+    arr = make_array()
     arr.insert(0x100, L1State.V)
     removed = arr.remove(0x100)
     assert removed is not None
@@ -95,11 +83,11 @@ def test_remove(arr_cls):
     assert arr.remove(0x100) is None
 
 
-def test_removed_line_keeps_fields(arr_cls):
+def test_removed_line_keeps_fields():
     """A reference held across remove() still reads the departed line —
     stale-``CacheLine`` aliasing the flat views must reproduce (the MESI
     eviction-recall path hands removed lines to ``_on_evict``)."""
-    arr = make_array(arr_cls)
+    arr = make_array()
     line = arr.insert(0x100, L1State.V)
     line.value = "old"
     line.sharers.add(("core", 1))
@@ -109,8 +97,8 @@ def test_removed_line_keeps_fields(arr_cls):
     assert removed.addr == 0x100
 
 
-def test_clear_drops_everything(arr_cls):
-    arr = make_array(arr_cls)
+def test_clear_drops_everything():
+    arr = make_array()
     for i in range(4):
         arr.insert(i * 128, L1State.V)
     arr.clear()
@@ -118,8 +106,8 @@ def test_clear_drops_everything(arr_cls):
     assert list(arr.lines()) == []
 
 
-def test_set_lines(arr_cls):
-    arr = make_array(arr_cls, size=512, assoc=2)
+def test_set_lines():
+    arr = make_array(size=512, assoc=2)
     stride = 128 * arr.n_sets
     arr.insert(0, L1State.V)
     arr.insert(stride, L1State.V)
@@ -127,14 +115,13 @@ def test_set_lines(arr_cls):
     assert len(arr.set_lines(128)) in (0, 1, 2)  # other set
 
 
-def test_equal_lru_tie_breaks_by_insertion_order(arr_cls):
+def test_equal_lru_tie_breaks_by_insertion_order():
     """Victim tie-breaking is deterministic: with equal LRU ticks the
-    first-inserted line wins (strict ``<`` scan in both kernels — dict
-    insertion order in the object array, way order in the flat one).
+    first-inserted line wins (strict ``<`` scan in dict insertion order).
     Equal ticks cannot occur in a simulation (the shared global counter
     is unique), but the scan must stay pinned so a future tick-source
     change cannot silently reshuffle victims."""
-    arr = make_array(arr_cls, size=1024, assoc=4, block=128)
+    arr = make_array(size=1024, assoc=4, block=128)
     stride = 128 * arr.n_sets
     for i in range(4):
         arr.insert(i * stride, L1State.V)

@@ -1,4 +1,4 @@
-"""Differential battery: fast bucketed engine vs the legacy heap oracle.
+"""Differential battery: fast bucketed engine vs the original heap engine.
 
 Two layers of evidence that the two-level queue preserves the engine's
 determinism contract (events fire in exact ``(cycle, seq)`` order):
@@ -8,17 +8,137 @@ determinism contract (events fire in exact ``(cycle, seq)`` order):
   greedy shrinker so a failure prints its minimal script;
 * a seeded Fig. 9 sweep cell run end-to-end on each engine must produce
   bit-identical result payloads.
+
+The oracle, :class:`LegacyEngine`, is the single-heap engine the
+simulator shipped with before the bucketed one replaced it. Do not
+optimize it; its value is being the unoptimized reference.
 """
 
+import heapq
 import json
 import random
+from typing import Callable, List, Optional, Tuple
 
 import pytest
 
 from repro.config import GPUConfig
+from repro.errors import DeadlockError, SimulationError
 from repro.exec import SimCell, run_cell
+from repro.sim import gpusim
 from repro.timing.engine import Engine
-from repro.timing.legacy import LegacyEngine
+
+Callback = Callable[[], None]
+
+
+# ----------------------------------------------------------------------
+# The oracle: the original single-heap engine
+# ----------------------------------------------------------------------
+class LegacyEvent:
+    """Handle for a scheduled event; lets the scheduler cancel it."""
+
+    __slots__ = ("cycle", "seq", "callback", "cancelled")
+
+    def __init__(self, cycle: int, seq: int, callback: Callback):
+        self.cycle = cycle
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the event from firing (it stays in the heap, skipped)."""
+        self.cancelled = True
+
+    def __lt__(self, other: "LegacyEvent") -> bool:
+        return (self.cycle, self.seq) < (other.cycle, other.seq)
+
+
+class LegacyEngine:
+    """A deterministic discrete-event simulator clock (single global heap)."""
+
+    def __init__(self, max_cycles: int = 500_000_000):
+        self.now: int = 0
+        self.max_cycles = max_cycles
+        self._heap: List[LegacyEvent] = []
+        self._seq = 0
+        self._events_fired = 0
+        self._stopped = False
+        #: Optional () -> str hook appended to DeadlockError messages.
+        self.diagnostics: Optional[Callable[[], str]] = None
+
+    def schedule(self, cycle: int, callback: Callback) -> LegacyEvent:
+        """Schedule ``callback`` to fire at absolute ``cycle``."""
+        if cycle < self.now:
+            raise SimulationError(
+                f"cannot schedule event in the past (now={self.now}, at={cycle})"
+            )
+        self._seq += 1
+        ev = LegacyEvent(cycle, self._seq, callback)
+        heapq.heappush(self._heap, ev)
+        return ev
+
+    def schedule_in(self, delay: int, callback: Callback) -> LegacyEvent:
+        """Schedule ``callback`` to fire ``delay`` cycles from now."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        return self.schedule(self.now + delay, callback)
+
+    def schedule_call(self, cycle: int, callback: Callback) -> None:
+        """The fast engine's no-handle path: plain ``schedule`` with the
+        handle dropped, so shared call sites behave identically."""
+        self.schedule(cycle, callback)
+
+    def stop(self) -> None:
+        """Stop the run loop after the current event returns."""
+        self._stopped = True
+
+    def step(self) -> bool:
+        """Fire the next pending event. Returns False when none remain."""
+        while self._heap:
+            ev = heapq.heappop(self._heap)
+            if ev.cancelled:
+                continue
+            if ev.cycle > self.max_cycles:
+                detail = (f"event horizon exceeded max_cycles="
+                          f"{self.max_cycles}; likely livelock or runaway "
+                          "simulation")
+                if self.diagnostics is not None:
+                    detail += "\n" + self.diagnostics()
+                raise DeadlockError(self.now, detail)
+            self.now = ev.cycle
+            ev.callback()
+            self._events_fired += 1
+            return True
+        return False
+
+    def run(self, until: Optional[int] = None) -> None:
+        """Run until the event queue drains, ``stop()``, or cycle ``until``."""
+        self._stopped = False
+        while not self._stopped:
+            if until is not None and self.peek() is not None and self.peek() > until:
+                self.now = until
+                return
+            if not self.step():
+                return
+
+    def peek(self) -> Optional[int]:
+        """Cycle of the next live event, or None if the queue is empty."""
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+        return self._heap[0].cycle if self._heap else None
+
+    @property
+    def pending(self) -> int:
+        """Number of live (non-cancelled) events still queued."""
+        return sum(1 for ev in self._heap if not ev.cancelled)
+
+    @property
+    def events_fired(self) -> int:
+        return self._events_fired
+
+    def snapshot(self) -> Tuple[int, int, int]:
+        """(now, events_fired, pending) — used by progress watchdogs."""
+        return (self.now, self._events_fired, self.pending)
+
 
 # ----------------------------------------------------------------------
 # Script interpreter
@@ -166,8 +286,9 @@ def test_park_and_resume_with_earlier_insertion():
 
 
 # ----------------------------------------------------------------------
-# Drain-path edges: a callback-only bucket goes through the batch
-# hot-kernel drain on the fast engine; these pins hold on both engines.
+# Drain-path edges: the fast engine walks a cycle's bucket by index, so
+# stop() and same-cycle appends happen mid-walk; these pins hold on both
+# engines.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_cls", [Engine, LegacyEngine],
                          ids=["fast", "legacy"])
@@ -189,10 +310,9 @@ def test_stop_from_bare_callback_mid_drain(engine_cls):
 
 def test_event_appended_to_current_bucket_mid_drain():
     # A bare callback scheduling a cancellable *Event* into its own cycle
-    # forces the fast engine to abandon the batch drain mid-bucket (the
-    # bucket no longer holds only bare callbacks). Firing order must stay
-    # submission order on both engines, and cancelling the fresh handle
-    # from a sibling callback must suppress it.
+    # extends the bucket the fast engine is walking. Firing order must
+    # stay submission order on both engines, and cancelling the fresh
+    # handle from a sibling callback must suppress it.
     def script_ops(eng, log, cancel_it):
         box = {}
 
@@ -232,9 +352,8 @@ def test_fig9_cell_payload_identical_across_engines(monkeypatch, protocol,
                                                     workload):
     cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
                    workload=workload, intensity=0.25, seed=1234)
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
     fast = run_cell(cell).to_payload()
-    monkeypatch.setenv("RCC_LEGACY_ENGINE", "1")
+    monkeypatch.setattr(gpusim, "Engine", LegacyEngine)
     legacy = run_cell(cell).to_payload()
     assert json.dumps(fast, sort_keys=True) == json.dumps(legacy,
                                                           sort_keys=True)

@@ -1,51 +1,41 @@
-"""Golden-payload battery: the flat kernel is bit-identical to the oracle.
+"""Golden batteries for RCC, RCC-WO and MESI: payloads and event streams.
 
-Every hash in ``tests/golden/flat_kernel_golden.json`` was captured from
-the **object kernel** (``RCC_FLAT_KERNEL=0``) — the dict-of-dataclass
-controllers the flat-array kernel transliterates. The grid covers the
-three protocols the flat kernel re-implements (RCC, RCC-WO, MESI) across
-the battery workloads, every registered lease policy, and two
-intensities on the small machine. Recomputing each cell with the flat
-kernel forced on and comparing payload SHA-256 proves the restructuring
-changed *nothing observable* — not cycles, not stats, not a single
-payload field.
+``tests/golden/protocol_golden.json`` pins the result payload SHA-256,
+cycles and mem_ops of RCC, RCC-WO and MESI across the battery workloads,
+every registered lease policy, and two intensities on the small machine.
+``tests/golden/event_stream_golden.json`` pins, for RCC, RCC-WO, MESI,
+TCS and TCW, the count and SHA-256 of every sanitizer event of one
+sanitized run — each transition at its cycle with its fields. A
+refactor that keeps both goldens changed *nothing observable*: not
+cycles, not stats, not a single payload field or emission point.
 
 If a deliberate protocol behavior change lands later, regenerate with::
 
-    PYTHONPATH=src python tests/golden/regen_flat_kernel_golden.py
+    PYTHONPATH=src python tests/golden/regen_protocol_golden.py
 
-(the regen script forces the object kernel, so it always captures the
-oracle even on a post-refactor tree) and say so in the commit message.
+and say so in the commit message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import SimCell, run_cell
-from repro.kernel import flat_kernel_enabled
+from tests.golden.regen_protocol_golden import (PAYLOAD_OUT, STREAM_OUT,
+                                                event_stream)
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "flat_kernel_golden.json")
-
-with open(GOLDEN_PATH) as _fh:
+with open(PAYLOAD_OUT) as _fh:
     GOLDEN = json.load(_fh)
+with open(STREAM_OUT) as _fh:
+    STREAMS = json.load(_fh)
 
-assert GOLDEN["kind"] == "flat-kernel-golden" and GOLDEN["schema"] == 1
-
-
-@pytest.fixture(autouse=True)
-def _force_flat_kernel(monkeypatch):
-    """Pin the kernel under test: flat on, legacy escape hatch off."""
-    monkeypatch.setenv("RCC_FLAT_KERNEL", "1")
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
-    assert flat_kernel_enabled()
+assert GOLDEN["kind"] == "protocol-golden" and GOLDEN["schema"] == 1
+assert STREAMS["kind"] == "event-stream-golden" and STREAMS["schema"] == 1
 
 
 def payload_hash(result) -> str:
@@ -65,15 +55,16 @@ def cell_for(key: str) -> SimCell:
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["cells"]))
 def test_flat_kernel_bit_identical(key):
+    """Named for the retired flat kernel this golden once checked; it
+    now pins the only implementation of each protocol."""
     expected = GOLDEN["cells"][key]
     result = run_cell(cell_for(key))
     assert result.mem_ops == expected["mem_ops"], \
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \
-        f"{key}: cycles drifted (flat kernel timing diverged)"
-    assert payload_hash(result) == expected["payload_sha256"], (
-        f"{key}: result payload differs from the object-kernel oracle — "
-        "the flat-array kernel is no longer bit-identical")
+        f"{key}: cycles drifted (protocol timing changed)"
+    assert payload_hash(result) == expected["payload_sha256"], \
+        f"{key}: result payload differs from the golden"
 
 
 def test_golden_grid_shape():
@@ -86,3 +77,13 @@ def test_golden_grid_shape():
     assert workloads == {"bfs", "stn", "dlb", "lud"}
     assert policies == set(available_lease_policies())
     assert len(keys) == 3 * 4 * len(policies) * 2
+
+
+@pytest.mark.parametrize("protocol", sorted(STREAMS["streams"]))
+def test_sanitizer_event_stream_golden(protocol):
+    expected = STREAMS["streams"][protocol]
+    count, sha = event_stream(protocol)
+    assert count == expected["events"], \
+        f"{protocol}: sanitizer emits a different number of events"
+    assert sha == expected["sha256"], \
+        f"{protocol}: sanitizer event stream differs from the golden"

@@ -99,10 +99,7 @@ class TestInjectedBug:
                                         monkeypatch):
         # Re-introduce the classic off-by-one: treat an L1 copy as valid
         # one cycle past its lease. The very first stale hit must trip the
-        # sanitizer and dump a trace naming the faulting event. The bug is
-        # injected through the object controller's lease_valid seam, which
-        # the flat kernel inlines away, so force the object kernel here.
-        monkeypatch.setenv("RCC_FLAT_KERNEL", "0")
+        # sanitizer and dump a trace naming the faulting event.
         monkeypatch.setattr("repro.core.rcc_l1.lease_valid",
                             lambda now, exp: now <= exp + 1)
         trace = str(tmp_path / "violation.jsonl")
@@ -128,9 +125,7 @@ class TestInjectedBug:
 
     def test_without_sanitizer_bug_is_silent(self, small_cfg, monkeypatch):
         # Control: the same injected bug goes unnoticed when --sanitize is
-        # off (which is why the sanitizer exists). Same object-kernel seam
-        # as above.
-        monkeypatch.setenv("RCC_FLAT_KERNEL", "0")
+        # off (which is why the sanitizer exists).
         monkeypatch.setattr("repro.core.rcc_l1.lease_valid",
                             lambda now, exp: now <= exp + 1)
         sim = GPUSimulator(small_cfg, "RCC", empty_traces(small_cfg))
