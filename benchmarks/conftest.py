@@ -17,22 +17,22 @@ Intensity is kept low so the full suite finishes in minutes; pass
 (``rcc-repro all --intensity 1.0 --jobs 4``).
 """
 
-import os
-
 import pytest
 
 from repro.config import GPUConfig
 from repro.exec import ResultCache, SweepExecutor
 from repro.harness.experiments import Harness
+from repro.settings import Settings
 
 BENCH_INTENSITY = 0.15
 
 
 @pytest.fixture(scope="session")
 def harness() -> Harness:
-    cache_dir = os.environ.get("RCC_CACHE_DIR")
+    settings = Settings.from_env()
     executor = SweepExecutor(
-        cache=ResultCache(cache_dir) if cache_dir else None)
+        settings,
+        cache=ResultCache(settings.cache_dir) if settings.cache_dir else None)
     return Harness(cfg=GPUConfig.bench(), intensity=BENCH_INTENSITY,
                    executor=executor)
 

@@ -43,9 +43,10 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.plan import CHAOS_EXIT_CODE, ENV_CHAOS, ENV_CHAOS_PARENT
+from repro.chaos.plan import CHAOS_EXIT_CODE
 from repro.errors import FAILURE_KINDS, HarnessError
 from repro.exec.engine import RetryPolicy, SweepExecutor
+from repro.settings import Settings, cli_settings
 
 #: Wall-clock-dependent report fields, stripped before any cross-run
 #: equality check (everything else must be byte-identical).
@@ -68,31 +69,6 @@ def strip_wall_clock(doc: Any) -> Any:
     if isinstance(doc, list):
         return [strip_wall_clock(v) for v in doc]
     return doc
-
-
-class _ChaosEnv:
-    """Scoped ``RCC_CHAOS`` setting (restores the previous value and
-    drops the parent-pid marker on exit)."""
-
-    def __init__(self, spec: Optional[str]):
-        self.spec = spec
-        self._prev: Dict[str, Optional[str]] = {}
-
-    def __enter__(self):
-        for var in (ENV_CHAOS, ENV_CHAOS_PARENT):
-            self._prev[var] = os.environ.get(var)
-            os.environ.pop(var, None)
-        if self.spec:
-            os.environ[ENV_CHAOS] = self.spec
-        return self
-
-    def __exit__(self, *exc):
-        for var, val in self._prev.items():
-            if val is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = val
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -175,40 +151,38 @@ def _run_map_plan(plan: ChaosPlan, workdir: str) -> PlanOutcome:
     journal_dir = (os.path.join(workdir, "journal")
                    if plan.mode == "journal" else None)
     warnings: List[str] = []
-    ex = SweepExecutor(jobs=1 if plan.mode == "serial" else 2,
-                       timeout=plan.timeout,
+    settings = Settings(jobs=1 if plan.mode == "serial" else 2,
+                        chaos=plan.spec)
+    ex = SweepExecutor(settings, timeout=plan.timeout,
                        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
                        journal_dir=journal_dir,
                        on_summary=warnings.append)
-    with _ChaosEnv(plan.spec):
-        try:
-            got = ex.map(_chaos_cell, items, labels=labels,
-                         meta={"campaign": "chaos-contract",
-                               "spec": plan.spec})
-        except HarnessError as err:
-            kinds = sorted({f.kind for f in err.failures})
-            if plan.expect != "failures":
-                return PlanOutcome(plan, False,
-                                   f"unexpected HarnessError: {err}",
-                                   kinds)
-            bad = [k for k in kinds if k not in plan.allowed_kinds]
-            if bad or not err.failures:
-                return PlanOutcome(
-                    plan, False,
-                    f"failure kinds {kinds} outside allowed "
-                    f"{list(plan.allowed_kinds)}", kinds)
-            for f in err.failures:
-                if f.label not in labels or not f.message:
-                    return PlanOutcome(plan, False,
-                                       f"malformed failure {f!r}", kinds)
-            return PlanOutcome(
-                plan, True,
-                f"{len(err.failures)} structured failure(s): "
-                f"{', '.join(kinds)}", kinds)
-        except BaseException as exc:  # the contract forbids raw leaks
+    try:
+        got = ex.map(_chaos_cell, items, labels=labels,
+                     meta={"campaign": "chaos-contract", "spec": plan.spec})
+    except HarnessError as err:
+        kinds = sorted({f.kind for f in err.failures})
+        if plan.expect != "failures":
             return PlanOutcome(plan, False,
-                               f"non-contract exception "
-                               f"{type(exc).__name__}: {exc}")
+                               f"unexpected HarnessError: {err}", kinds)
+        bad = [k for k in kinds if k not in plan.allowed_kinds]
+        if bad or not err.failures:
+            return PlanOutcome(
+                plan, False,
+                f"failure kinds {kinds} outside allowed "
+                f"{list(plan.allowed_kinds)}", kinds)
+        for f in err.failures:
+            if f.label not in labels or not f.message:
+                return PlanOutcome(plan, False,
+                                   f"malformed failure {f!r}", kinds)
+        return PlanOutcome(
+            plan, True,
+            f"{len(err.failures)} structured failure(s): "
+            f"{', '.join(kinds)}", kinds)
+    except BaseException as exc:  # the contract forbids raw leaks
+        return PlanOutcome(plan, False,
+                           f"non-contract exception "
+                           f"{type(exc).__name__}: {exc}")
     if plan.expect == "failures":
         return PlanOutcome(plan, False,
                            "expected a HarnessError; campaign succeeded")
@@ -224,26 +198,27 @@ def _run_map_plan(plan: ChaosPlan, workdir: str) -> PlanOutcome:
     return PlanOutcome(plan, True, detail)
 
 
-def _run_cache_plan(plan: ChaosPlan, workdir: str) -> PlanOutcome:
+def _run_cache_plan(plan: ChaosPlan, workdir: str,
+                    sanitize: bool = False) -> PlanOutcome:
     from repro.config import GPUConfig
     from repro.exec import ResultCache, SimCell, payload_digest
 
     cfg = GPUConfig.small()
     cells = [SimCell(cfg=cfg, protocol=p, workload="bfs", intensity=0.05)
              for p in ("RCC", "MESI")][:plan.n_items]
-    clean = SweepExecutor(jobs=1).run_cells(cells)
+    clean = SweepExecutor(Settings(sanitize=sanitize)).run_cells(cells)
     want = [payload_digest(r.to_payload()) for r in clean]
     root = os.path.join(workdir, f"cache-{plan.spec.replace(':', '_')}")
-    with _ChaosEnv(plan.spec):
-        try:
-            cache = ResultCache(root)
-            ex = SweepExecutor(jobs=1, cache=cache)
-            first = ex.run_cells(cells)
-            second = ex.run_cells(cells)
-        except BaseException as exc:
-            return PlanOutcome(plan, False,
-                               f"non-contract exception "
-                               f"{type(exc).__name__}: {exc}")
+    try:
+        cache = ResultCache(root)
+        ex = SweepExecutor(Settings(sanitize=sanitize, chaos=plan.spec),
+                           cache=cache)
+        first = ex.run_cells(cells)
+        second = ex.run_cells(cells)
+    except BaseException as exc:
+        return PlanOutcome(plan, False,
+                           f"non-contract exception "
+                           f"{type(exc).__name__}: {exc}")
     for name, batch in (("first", first), ("second", second)):
         got = [payload_digest(r.to_payload()) for r in batch]
         if got != want:
@@ -263,13 +238,15 @@ def _run_cache_plan(plan: ChaosPlan, workdir: str) -> PlanOutcome:
 
 def run_chaos_campaign(plans: Optional[Sequence[ChaosPlan]] = None,
                        kill_resume: Optional[Sequence[str]] = None,
-                       workdir: Optional[str] = None,
-                       out=print) -> List[PlanOutcome]:
+                       workdir: Optional[str] = None, out=print,
+                       sanitize: bool = False) -> List[PlanOutcome]:
     """Run the contract battery (and, optionally, kill-and-resume
     round-trips for the named campaign kinds); returns every outcome.
 
     ``repro-fuzz --chaos`` drives this with the default matrix and all
     four campaign kinds; the caller decides pass/fail from the outcomes.
+    ``sanitize`` checks the cache plans' cells; child campaigns get only
+    ``RCC_CHAOS``.
     """
     plans = list(DEFAULT_PLANS if plans is None else plans)
     owned = workdir is None
@@ -278,7 +255,7 @@ def run_chaos_campaign(plans: Optional[Sequence[ChaosPlan]] = None,
     try:
         for plan in plans:
             if plan.mode == "cache":
-                outcome = _run_cache_plan(plan, workdir)
+                outcome = _run_cache_plan(plan, workdir, sanitize)
             else:
                 outcome = _run_map_plan(plan, workdir)
             outcomes.append(outcome)
@@ -305,11 +282,11 @@ def run_chaos_campaign(plans: Optional[Sequence[ChaosPlan]] = None,
 # ----------------------------------------------------------------------
 
 def _child_env(chaos: Optional[str]) -> Dict[str, str]:
-    env = dict(os.environ)
-    env.pop(ENV_CHAOS, None)
-    env.pop(ENV_CHAOS_PARENT, None)
+    """The child campaign's environment: this process's, minus every
+    ``RCC_*`` setting, plus ``RCC_CHAOS`` when a plan is armed."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RCC_")}
     if chaos:
-        env[ENV_CHAOS] = chaos
+        env["RCC_CHAOS"] = chaos
     src = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     parts = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -487,11 +464,11 @@ def child_main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("cmd", choices=["child"])
     p.add_argument("kind", choices=sorted(_CHILD_RUNNERS))
     p.add_argument("--workdir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None)
     args = p.parse_args(argv)
 
     os.makedirs(args.workdir, exist_ok=True)
-    ex_kwargs = {"jobs": args.jobs,
+    ex_kwargs = {"settings": cli_settings(p, args),
                  "journal_dir": os.path.join(args.workdir, "journal"),
                  "retry": RetryPolicy(max_attempts=3, base_delay=0.01)}
     report = _CHILD_RUNNERS[args.kind](args.workdir, ex_kwargs)

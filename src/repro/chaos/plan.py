@@ -55,8 +55,9 @@ as a structured failure). Examples::
     RCC_CHAOS="torn-write;bit-flip:0.5"     # hostile filesystem
     RCC_CHAOS="exit-after=3"                # SIGKILL after 3 journaled cells
 
-The executor, cache, and journal consult :func:`plan_from_env` at their
-boundaries; with ``RCC_CHAOS`` unset every hook is a no-op.
+A :class:`~repro.exec.SweepExecutor` hands one plan, parsed from its
+settings, to its worker wrapper (pickled into forked workers with each
+cell), its cache and its journal; with no plan every hook is skipped.
 """
 
 from __future__ import annotations
@@ -69,15 +70,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
-
-#: Environment variable carrying the fault-plan spec (inherited by forked
-#: sweep workers, so one setting arms every process of a campaign).
-ENV_CHAOS = "RCC_CHAOS"
-
-#: Set (by :func:`arm_parent`) to the campaign parent's pid so the
-#: ``crash`` fault can tell a forked worker (safe to ``os._exit``) from
-#: the campaign process itself (raise :class:`ChaosCrash` instead).
-ENV_CHAOS_PARENT = "RCC_CHAOS_PARENT_PID"
 
 #: Exit code used by chaos-injected process deaths (worker ``crash`` and
 #: the parent-side ``exit-after`` campaign kill).
@@ -123,6 +115,10 @@ class FaultPlan:
         self.exit_after = exit_after
         self.spec = spec
         self._completions = 0
+        #: The campaign process, so the ``crash`` fault can tell a forked
+        #: worker (safe to ``os._exit``) from the campaign itself (raise
+        #: :class:`ChaosCrash` instead).
+        self.parent_pid = os.getpid()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -208,8 +204,7 @@ class FaultPlan:
         the top of the executor's worker wrapper, in whatever process is
         about to evaluate the cell."""
         if self.decide("worker", "crash", identity, attempt):
-            parent = os.environ.get(ENV_CHAOS_PARENT)
-            if parent and parent != str(os.getpid()):
+            if os.getpid() != self.parent_pid:
                 os._exit(CHAOS_EXIT_CODE)
             raise ChaosCrash(
                 f"chaos: injected worker crash for {identity!r} "
@@ -275,40 +270,3 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover
         return f"<FaultPlan {self.describe()}>"
 
-
-# ----------------------------------------------------------------------
-# Environment plumbing
-# ----------------------------------------------------------------------
-
-#: Memoized parse of the last-seen ``RCC_CHAOS`` value (the plan object
-#: also carries the ``exit-after`` counter, which must persist across
-#: batches within one campaign process).
-_CACHED: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
-
-
-def plan_from_env() -> Optional[FaultPlan]:
-    """The active fault plan, or None when ``RCC_CHAOS`` is unset/empty.
-
-    Parsed once per distinct spec value per process; forked workers
-    inherit the environment and re-parse on first use.
-    """
-    global _CACHED
-    spec = os.environ.get(ENV_CHAOS)
-    if not spec:
-        return None
-    cached_spec, cached_plan = _CACHED
-    if spec == cached_spec:
-        return cached_plan
-    plan = FaultPlan.parse(spec)
-    _CACHED = (spec, plan)
-    return plan
-
-
-def arm_parent() -> None:
-    """Record this process as the campaign parent (see ``crash`` fault).
-
-    Called by the executor before building worker pools so forked
-    children can tell themselves apart from the campaign process.
-    """
-    if os.environ.get(ENV_CHAOS):
-        os.environ[ENV_CHAOS_PARENT] = str(os.getpid())

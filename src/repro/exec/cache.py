@@ -25,8 +25,8 @@ files from crashed writers are swept opportunistically.
 The deterministic chaos layer (:mod:`repro.chaos`) hooks the commit
 path: the ``enospc`` fault makes the write fail, and ``torn-write`` /
 ``bit-flip`` damage the bytes being committed — which the digest check
-must then catch on the next read. With ``RCC_CHAOS`` unset these hooks
-are no-ops.
+must then catch on the next read. The sweep executor passes its fault
+plan to :meth:`ResultCache.put`; without one these hooks are skipped.
 
 The cache is size-bounded: after each write the directory is trimmed to
 at most ``max_entries`` files and ``max_bytes`` total payload,
@@ -34,9 +34,8 @@ oldest-mtime entries first (content-addressed entries have no better
 recency signal than their write time, and a re-computed cell rewrites
 its file, refreshing it). Bounds default to
 :data:`DEFAULT_MAX_ENTRIES` / :data:`DEFAULT_MAX_BYTES` and can be set
-per-instance or via ``RCC_CACHE_MAX_ENTRIES`` / ``RCC_CACHE_MAX_BYTES``
-(``0`` disables a bound). Hit/miss/eviction counters are surfaced in
-the sweep summary line (:class:`repro.exec.engine.SweepStats`).
+per instance (``0`` disables a bound). Hit/miss/eviction counters are
+surfaced in the sweep summary line (:class:`repro.exec.engine.SweepStats`).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import tempfile
 import time
 from typing import Any, Dict, Optional
 
-from repro.chaos import plan_from_env
+from repro.chaos import FaultPlan
 from repro.sim.results import SimResult
 
 #: Default cache directory, relative to the working directory.
@@ -71,16 +70,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 STALE_TMP_AGE_S = 3600.0
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 def result_digest(payload: Any) -> str:
     """sha256 over the canonical JSON form of a result payload.
 
@@ -97,15 +86,9 @@ class ResultCache:
     """Content-addressed store of :class:`SimResult` payloads."""
 
     def __init__(self, root: Optional[str] = None,
-                 max_entries: Optional[int] = None,
-                 max_bytes: Optional[int] = None):
-        self.root = root or os.environ.get("RCC_CACHE_DIR",
-                                           DEFAULT_CACHE_DIR)
-        if max_entries is None:
-            max_entries = _env_int("RCC_CACHE_MAX_ENTRIES",
-                                   DEFAULT_MAX_ENTRIES)
-        if max_bytes is None:
-            max_bytes = _env_int("RCC_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
+                 max_entries: int = DEFAULT_MAX_ENTRIES,
+                 max_bytes: int = DEFAULT_MAX_BYTES):
+        self.root = root or DEFAULT_CACHE_DIR
         #: Maximum entry count / total bytes; ``<= 0`` disables the bound.
         self.max_entries = max_entries
         self.max_bytes = max_bytes
@@ -153,7 +136,8 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: SimResult,
-            cell: Optional[Dict[str, Any]] = None) -> bool:
+            cell: Optional[Dict[str, Any]] = None,
+            plan: Optional[FaultPlan] = None) -> bool:
         """Store ``result`` under ``key``; returns False when skipped or
         the write failed.
 
@@ -164,6 +148,7 @@ class ResultCache:
         Write failures (``OSError``: disk full, read-only cache, ...) are
         counted and swallowed — the caller already holds the computed
         result, and a cache that cannot persist it must not lose it.
+        ``plan`` injects the chaos layer's storage faults into the write.
         """
         if result.op_logs:
             return False
@@ -176,7 +161,6 @@ class ResultCache:
             "result": payload,
         }
         data = json.dumps(blob).encode("utf-8")
-        plan = plan_from_env()
         tmp = None
         try:
             if plan is not None:

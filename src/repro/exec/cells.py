@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import GPUConfig
-from repro.sanitize.sanitizer import (sanitize_enabled_from_env,
-                                      trace_out_from_env)
 from repro.sim.gpusim import run_simulation
 from repro.sim.results import SimResult
 from repro.workloads import get_workload
@@ -114,22 +112,21 @@ def derive_seed(base: int, *parts: Any) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def run_cell(cell: SimCell) -> SimResult:
+def run_cell(cell: SimCell, sanitize: bool = False,
+             trace_out: Optional[str] = None) -> SimResult:
     """Execute one cell (the executor's default worker function).
 
-    The sanitizer rides along via environment toggles (``RCC_SANITIZE`` /
-    ``RCC_TRACE_OUT``) rather than cell fields: forked sweep workers
-    inherit the runner's environment, and the cell key — hence the result
-    cache — stays independent of a checking mode that must not change
-    results.
+    The sanitizer settings are arguments rather than cell fields, so the
+    cell key — hence the result cache — stays independent of a checking
+    mode that must not change results. The sweep executor binds them
+    from its :class:`~repro.settings.Settings`.
     """
     wl = get_workload(cell.workload, intensity=cell.intensity,
                       seed=cell.seed)
     cfg = cell.effective_cfg()
     return run_simulation(cfg, cell.protocol, wl.generate(cfg),
-                          cell.workload,
-                          sanitize=sanitize_enabled_from_env(),
-                          trace_out=trace_out_from_env())
+                          cell.workload, sanitize=sanitize,
+                          trace_out=trace_out)
 
 
 def sweep_cells(cfg: GPUConfig, protocols: Iterable[str],

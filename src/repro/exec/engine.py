@@ -4,14 +4,14 @@ The paper's evaluation is a grid of independent simulations (12 workloads
 x 6 protocols per figure), so sweep throughput — not any single run — is
 what bounds iteration time. :class:`SweepExecutor` schedules such grids:
 
-* ``jobs=1`` (the default, or ``RCC_JOBS`` in the environment) runs
-  serially in-process, preserving the historical bit-identical behavior;
-* ``jobs>1`` fans cells out over a ``ProcessPoolExecutor`` (``fork``
+* ``Settings.jobs == 1`` (the default) runs serially in-process,
+  preserving the historical bit-identical behavior;
+* ``jobs > 1`` fans cells out over a ``ProcessPoolExecutor`` (``fork``
   start method where available, so workers inherit the loaded modules and
   the parent's hash seed — a prerequisite for replaying identical runs);
-* when process pools are unavailable (restricted environments, or
-  ``RCC_NO_MP=1``) the engine degrades gracefully to in-process serial
-  execution rather than failing;
+* when process pools are unavailable (restricted environments) the
+  engine degrades gracefully to in-process serial execution rather than
+  failing;
 * each cell gets an optional wall-clock ``timeout`` and bounded
   exponential-backoff retries (:class:`RetryPolicy`; retries run in a
   fresh single-worker pool so a poisoned worker cannot take them down);
@@ -36,9 +36,9 @@ completes, and an interrupted campaign restarts from its last completed
 cell. Journal replay must agree with the cache: a digest disagreement is
 surfaced as a ``cache-corrupt`` failure, never silently overwritten.
 
-Deterministic fault injection (:mod:`repro.chaos`) hooks the worker
-boundary via ``RCC_CHAOS``; with the variable unset the hooks are
-no-ops.
+Deterministic fault injection (:mod:`repro.chaos`): the executor hands
+one :class:`~repro.chaos.FaultPlan`, parsed from its settings, to the
+worker wrapper, the cache and the journal; with no plan they skip it.
 
 Determinism contract: the simulator is a deterministic function of the
 cell, and workers are forked replicas evaluating that same function, so
@@ -49,6 +49,7 @@ every experiment.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import BrokenExecutor
@@ -56,7 +57,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos import ChaosCrash, arm_parent, plan_from_env
+from repro.chaos import ChaosCrash, FaultPlan
 from repro.errors import CellFailure, HarnessError
 from repro.exec.cache import ResultCache
 from repro.exec.cells import SimCell, cell_key, run_cell
@@ -65,23 +66,23 @@ from repro.exec.journal import (
     payload_digest,
 )
 from repro.errors import JournalError
+from repro.settings import Settings
 from repro.sim.results import SimResult
 
 _TIMEOUT_EXCS = (TimeoutError, FuturesTimeout)
 
 
 def _timed_call(fn: Callable[[Any], Any], item: Any,
-                label: Optional[str] = None,
-                attempt: int = 1) -> Tuple[float, Any]:
+                label: Optional[str] = None, attempt: int = 1,
+                plan: Optional[FaultPlan] = None) -> Tuple[float, Any]:
     """Worker-side wrapper: run one item and report its wall time (module
     level so it pickles by reference into worker processes).
 
-    This is also the chaos layer's worker boundary: when ``RCC_CHAOS``
-    names worker faults, they fire here — in whatever process is about
-    to evaluate the cell — keyed deterministically by the cell's label
-    and attempt number.
+    This is also the chaos layer's worker boundary: when ``plan`` names
+    worker faults, they fire here — in whatever process is about to
+    evaluate the cell — keyed deterministically by the cell's label and
+    attempt number.
     """
-    plan = plan_from_env()
     if plan is not None and label is not None:
         plan.fire_worker(label, attempt)
     t0 = time.perf_counter()
@@ -131,15 +132,6 @@ class RetryPolicy:
 
     def delay(self, failures: int) -> float:
         return min(self.max_delay, self.base_delay * (2 ** (failures - 1)))
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        raw = os.environ.get("RCC_MAX_ATTEMPTS")
-        try:
-            max_attempts = max(1, int(raw)) if raw else 3
-        except ValueError:
-            max_attempts = 3
-        return cls(max_attempts=max_attempts)
 
 
 @dataclass
@@ -234,12 +226,13 @@ class _CellSink(_NullSink):
     journal record for the same cell."""
 
     def __init__(self, journal: Optional[CampaignJournal],
-                 cache: Optional[ResultCache],
+                 cache: Optional[ResultCache], plan: Optional[FaultPlan],
                  cells: Sequence[SimCell], seqs: Sequence[int],
                  keys: Sequence[Optional[str]],
                  expected: Dict[int, str]):
         self.journal = journal
         self.cache = cache
+        self.plan = plan
         self.cells = cells
         self.seqs = list(seqs)
         self.keys = keys
@@ -274,7 +267,7 @@ class _CellSink(_NullSink):
                 "intensity": cell.intensity,
                 "seed": cell.seed,
                 "ts_overrides": list(cell.ts_overrides),
-            })
+            }, plan=self.plan)
         if self.journal is not None:
             embedded = (encode_value(payload)
                         if self.cache is None else None)
@@ -322,9 +315,14 @@ class _MapSink(_NullSink):
 class SweepExecutor:
     """Runs batches of independent work items, optionally in parallel,
     optionally through the on-disk result cache, and optionally under a
-    crash-safe campaign journal."""
+    crash-safe campaign journal.
 
-    def __init__(self, jobs: Optional[int] = None,
+    ``settings`` defaults to :meth:`Settings.from_env`. :attr:`run_cell`
+    is the default ``worker``; a custom worker that runs cells takes it
+    as an argument (``functools.partial(worker, run=executor.run_cell)``).
+    """
+
+    def __init__(self, settings: Optional[Settings] = None,
                  cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None,
                  worker: Callable[[SimCell], SimResult] = None,
@@ -332,16 +330,21 @@ class SweepExecutor:
                  retry: Optional[RetryPolicy] = None,
                  journal_dir: Optional[str] = None,
                  resume: Optional[str] = None):
-        if jobs is None:
-            jobs = int(os.environ.get("RCC_JOBS", "1") or 1)
-        self.jobs = max(1, jobs)
+        if settings is None:
+            settings = Settings.from_env()
+        self.settings = settings
+        #: The one fault plan every worker, cache write and journal of
+        #: this executor shares (``exit-after`` counts across batches).
+        self.plan = FaultPlan.parse(settings.chaos) if settings.chaos else None
         self.cache = cache
         self.timeout = timeout
-        self.worker = worker if worker is not None else run_cell
+        #: :func:`~repro.exec.cells.run_cell` with the settings' sanitizer
+        #: options bound (a partial, so it pickles into worker processes).
+        self.run_cell = functools.partial(
+            run_cell, sanitize=settings.sanitize, trace_out=settings.trace_out)
+        self.worker = worker if worker is not None else self.run_cell
         self.on_summary = on_summary
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
-        if journal_dir is None:
-            journal_dir = os.environ.get("RCC_JOURNAL_DIR") or None
+        self.retry = retry if retry is not None else RetryPolicy()
         # --resume pointing at a directory is shorthand for journaling
         # into it (auto-resume is content-keyed, so this just works).
         if resume and os.path.isdir(resume):
@@ -377,7 +380,8 @@ class SweepExecutor:
             explicit = False
         journal = CampaignJournal.open(path, cid, n_cells, meta=full_meta,
                                        explicit=explicit,
-                                       on_warning=self.on_summary)
+                                       on_warning=self.on_summary,
+                                       plan=self.plan)
         self.last_journal_path = path
         return journal
 
@@ -433,7 +437,7 @@ class SweepExecutor:
 
             pending = [i for i in range(n) if results[i] is None
                        and i not in replayed]
-            sink = _CellSink(journal, cache, cells, pending, keys,
+            sink = _CellSink(journal, cache, self.plan, cells, pending, keys,
                              expected)
             if pending:
                 computed = self._map([cells[i] for i in pending],
@@ -513,7 +517,7 @@ class SweepExecutor:
                 replayed.add(seq)
                 if cache is not None:
                     # Backfill the evicted cache entry from the journal.
-                    self.cache.put(keys[seq], res)
+                    self.cache.put(keys[seq], res, plan=self.plan)
                 continue
             # Digest-only record whose cache entry is gone: the cell
             # recomputes, pinned to the recorded digest.
@@ -595,15 +599,15 @@ class SweepExecutor:
     def _map(self, items: Sequence[Any], fn: Callable[[Any], Any],
              labels: Sequence[str],
              sink: Optional[_NullSink] = None) -> List[Any]:
-        stats = SweepStats(jobs=self.jobs)
+        jobs = max(1, self.settings.jobs)
+        stats = SweepStats(jobs=jobs)
         self.last_stats = stats
         sink = sink if sink is not None else _NullSink()
         if not items:
             return []
-        arm_parent()
-        if self.jobs <= 1:
+        if jobs <= 1:
             return self._map_serial(items, fn, labels, stats, sink)
-        pool = self._make_pool(self.jobs)
+        pool = self._make_pool(jobs)
         if pool is None:
             stats.mode = "serial-fallback"
             return self._map_serial(items, fn, labels, stats, sink)
@@ -625,7 +629,8 @@ class SweepExecutor:
                     time.sleep(self.retry.delay(attempts))
                 attempts += 1
                 try:
-                    elapsed, value = _timed_call(fn, item, label, attempts)
+                    elapsed, value = _timed_call(fn, item, label, attempts,
+                                                 self.plan)
                     done = True
                     break
                 except Exception as exc:
@@ -668,7 +673,7 @@ class SweepExecutor:
                     try:
                         futs.append((i, current.submit(
                             _timed_call, fn, items[i], labels[i],
-                            attempts[i])))
+                            attempts[i], self.plan)))
                     except BrokenExecutor as exc:
                         # A just-submitted cell killed its worker before
                         # the batch finished submitting; the rest of the
@@ -713,7 +718,7 @@ class SweepExecutor:
                             pending.append(i)
                     if pending:
                         stats.pool_rebuilds += 1
-                        current = self._make_pool(self.jobs)
+                        current = self._make_pool(self.settings.jobs)
                         if current is None:
                             # Multiprocessing gave out mid-sweep; the
                             # isolated stage (which degrades to
@@ -759,12 +764,13 @@ class SweepExecutor:
                             pool = self._make_pool(1)
                         if pool is None:  # mp unavailable: in-process
                             elapsed, value = _timed_call(
-                                fn, items[i], labels[i], attempts[i])
+                                fn, items[i], labels[i], attempts[i],
+                                self.plan)
                         else:
                             try:
                                 fut = pool.submit(_timed_call, fn,
                                                   items[i], labels[i],
-                                                  attempts[i])
+                                                  attempts[i], self.plan)
                                 elapsed, value = fut.result(
                                     timeout=self.timeout)
                             except _TIMEOUT_EXCS:
@@ -805,9 +811,7 @@ class SweepExecutor:
 
     def _make_pool(self, workers: int):
         """A fork-context process pool, or None when multiprocessing is
-        unusable here (missing primitives, sandboxing, RCC_NO_MP=1)."""
-        if os.environ.get("RCC_NO_MP"):
-            return None
+        unusable here (missing primitives, sandboxing)."""
         try:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -816,7 +820,7 @@ class SweepExecutor:
             else:  # pragma: no cover - non-fork platforms
                 ctx = multiprocessing.get_context()
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        except Exception:  # pragma: no cover - restricted environments
+        except Exception:  # restricted environments
             return None
         self.pools_built += 1
         return pool

@@ -57,7 +57,7 @@ import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.chaos import plan_from_env
+from repro.chaos import FaultPlan
 from repro.errors import JournalError
 
 #: Bumped when the journal file layout changes incompatibly.
@@ -151,12 +151,16 @@ class CampaignJournal:
 
     def __init__(self, path: str, campaign: str, n_cells: int,
                  meta: Optional[Dict[str, Any]] = None,
-                 on_warning: Optional[Callable[[str], None]] = None):
+                 on_warning: Optional[Callable[[str], None]] = None,
+                 plan: Optional[FaultPlan] = None):
         self.path = path
         self.campaign = campaign
         self.n_cells = n_cells
         self.meta = dict(meta or {})
         self.on_warning = on_warning
+        #: The executor's fault plan: ``enospc`` fails appends and
+        #: ``exit-after`` counts completions.
+        self.plan = plan
         #: Latest record per seq, split by outcome (loaded on open).
         self._ok: Dict[int, Dict[str, Any]] = {}
         self._failed: Dict[int, Dict[str, Any]] = {}
@@ -174,8 +178,8 @@ class CampaignJournal:
     def open(cls, path: str, campaign: str, n_cells: int,
              meta: Optional[Dict[str, Any]] = None,
              explicit: bool = False,
-             on_warning: Optional[Callable[[str], None]] = None
-             ) -> "CampaignJournal":
+             on_warning: Optional[Callable[[str], None]] = None,
+             plan: Optional[FaultPlan] = None) -> "CampaignJournal":
         """Open (creating or resuming) the journal at ``path``.
 
         An existing file with a matching header is resumed; a mismatched
@@ -184,7 +188,7 @@ class CampaignJournal:
         raises :class:`JournalError` instead of quietly starting over.
         """
         journal = cls(path, campaign, n_cells, meta=meta,
-                      on_warning=on_warning)
+                      on_warning=on_warning, plan=plan)
         if os.path.exists(path):
             header, records = _load_journal(path)
             if (header is not None
@@ -241,11 +245,10 @@ class CampaignJournal:
                "payload": payload}
         self._append(rec)
         self._absorb(rec)
-        plan = plan_from_env()
-        if plan is not None:
+        if self.plan is not None:
             # The campaign-kill fault: die right after this journaled
             # completion, exactly where a CI SIGKILL would land.
-            plan.count_completion()
+            self.plan.count_completion()
 
     def record_failure(self, seq: int, key: str, label: str, kind: str,
                        message: str, attempts: int) -> None:
@@ -268,9 +271,9 @@ class CampaignJournal:
         if self.broken:
             return
         try:
-            plan = plan_from_env()
-            if plan is not None:
-                plan.check_write("journal", f"{self.campaign}:{rec.get('seq')}")
+            if self.plan is not None:
+                self.plan.check_write("journal",
+                                      f"{self.campaign}:{rec.get('seq')}")
             if self._fh is None:
                 parent = os.path.dirname(self.path)
                 if parent:

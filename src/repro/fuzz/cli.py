@@ -43,13 +43,14 @@ from repro.fuzz.differential import (
 )
 from repro.fuzz.generator import FuzzKnobs
 from repro.fuzz.workloads import DEFAULT_PROTOCOLS, run_hostile_campaign
+from repro.settings import Settings, cli_parent, cli_settings
 
 DEFAULT_BASELINE = os.path.join("benchmarks", "perf_baseline.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="repro-fuzz",
+        prog="repro-fuzz", parents=[cli_parent()],
         description="Differential litmus fuzzing: run randomized programs "
                     "under every coherence protocol and cross-check SC "
                     "protocols against the witness checker and an SC "
@@ -58,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed; program i uses seed+i (default 0)")
     p.add_argument("--programs", type=int, default=200,
                    help="number of programs to generate (default 200)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the campaign (default: "
-                        "RCC_JOBS or 1; progress lines then print after "
-                        "the parallel phase)")
     p.add_argument("--protocols", default="all",
                    help="comma-separated protocol list, or 'all' "
                         f"({', '.join(available_protocols())})")
@@ -101,12 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "generating programs")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="print a line per program")
-    p.add_argument("--sanitize", action="store_true",
+    p.add_argument("--sanitize", action="store_true", default=None,
                    help="run every simulation with the coherence-invariant "
-                        "sanitizer; a violation fails the program")
+                        "sanitizer; a violation fails the program "
+                        "(default: RCC_SANITIZE)")
     p.add_argument("--trace-out", metavar="FILE",
                    help="with --sanitize: dump the last coherence events "
-                        "as JSON lines to FILE on a violation")
+                        "as JSON lines to FILE on a violation "
+                        "(default: RCC_TRACE_OUT)")
     # Workload-knob fuzzing (the hostile lab).
     p.add_argument("--workloads", action="store_true",
                    help="fuzz hostile-workload knobs instead of litmus "
@@ -136,17 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-cliff", action="store_true",
                    help="with --workloads: exit non-zero on performance "
                         "cliffs too, not just violations")
-    # Crash safety: campaign journaling and the chaos battery.
-    p.add_argument("--journal-dir", metavar="DIR", default=None,
-                   help="journal the campaign as an append-only JSONL "
-                        "file in DIR; re-running the same command resumes "
-                        "from the last completed program/cell "
-                        "(default: RCC_JOURNAL_DIR)")
-    p.add_argument("--resume", metavar="PATH", default=None,
-                   help="resume from a specific campaign journal file "
-                        "(errors if it belongs to a different campaign), "
-                        "or from a journal directory (same as "
-                        "--journal-dir)")
+    # Crash safety: the chaos battery.
     p.add_argument("--chaos", metavar="SPEC", nargs="?", const="battery",
                    help="with a SPEC (e.g. 'flaky:0.5;seed=7'): run this "
                         "campaign under the deterministic fault plan "
@@ -170,7 +159,7 @@ def _knobs(args) -> FuzzKnobs:
         p_compute=args.p_compute)
 
 
-def _runner(args) -> DifferentialRunner:
+def _runner(args, settings: Settings) -> DifferentialRunner:
     cfg = named_config(args.config)
     if args.lease_policy:
         import dataclasses
@@ -179,8 +168,8 @@ def _runner(args) -> DifferentialRunner:
     protocols = (available_protocols() if args.protocols == "all"
                  else [s.strip() for s in args.protocols.split(",") if s.strip()])
     return DifferentialRunner(cfg=cfg, protocols=protocols,
-                              sanitize=args.sanitize,
-                              trace_out=args.trace_out)
+                              sanitize=settings.sanitize,
+                              trace_out=settings.trace_out)
 
 
 def _replay(args, runner: DifferentialRunner) -> int:
@@ -220,7 +209,7 @@ def _replay(args, runner: DifferentialRunner) -> int:
     return 1 if failed else 0
 
 
-def _workloads_main(args) -> int:
+def _workloads_main(args, settings: Settings) -> int:
     """The ``--workloads`` mode: one hostile-lab fuzz campaign."""
     protocols = (list(DEFAULT_PROTOCOLS) if args.protocols == "all"
                  else [s.strip() for s in args.protocols.split(",")
@@ -238,7 +227,7 @@ def _workloads_main(args) -> int:
         config_name=args.config, regimes=args.regimes, runs=args.runs,
         seed=args.seed, protocols=protocols, baseline_path=baseline,
         cliff_ratio=args.cliff_ratio, stall_factor=args.stall_factor,
-        executor=_executor(args), on_run=progress,
+        executor=_executor(args, settings), on_run=progress,
         lease_policy=args.lease_policy)
     print(result.render())
     if args.report:
@@ -267,9 +256,14 @@ def _workloads_main(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Bare --chaos names the battery, not a fault-plan spec.
+    settings = cli_settings(
+        parser, args, sanitize=args.sanitize, trace_out=args.trace_out,
+        chaos=None if args.chaos == "battery" else args.chaos)
     try:
-        return _main(args)
+        return _main(args, settings)
     except (ReproError, ValueError, OSError) as exc:
         # User-input errors (bad protocol, bad knob, missing corpus file)
         # deserve one line, not a traceback.
@@ -277,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def _chaos_battery_main(args) -> int:
+def _chaos_battery_main(args, settings: Settings) -> int:
     """Bare ``--chaos``: the contract battery + kill-and-resume trips."""
     from repro.chaos.campaign import CHILD_KINDS, run_chaos_campaign
 
@@ -293,26 +287,25 @@ def _chaos_battery_main(args) -> int:
             print(f"repro-fuzz: unknown resume kind(s) {unknown}; choose "
                   f"from {', '.join(CHILD_KINDS)}", file=sys.stderr)
             return 2
-    outcomes = run_chaos_campaign(kill_resume=kinds)
+    outcomes = run_chaos_campaign(kill_resume=kinds,
+                                  sanitize=settings.sanitize)
     failed = [o for o in outcomes if not o.ok]
     print(f"[chaos battery: {len(outcomes)} scenario(s), "
           f"{len(failed)} failing]")
     return 1 if failed else 0
 
 
-def _executor(args) -> SweepExecutor:
-    return SweepExecutor(jobs=args.jobs, journal_dir=args.journal_dir,
+def _executor(args, settings: Settings) -> SweepExecutor:
+    return SweepExecutor(settings, journal_dir=args.journal_dir,
                          resume=args.resume)
 
 
-def _main(args) -> int:
+def _main(args, settings: Settings) -> int:
     if args.chaos == "battery":
-        return _chaos_battery_main(args)
-    if args.chaos:
-        os.environ["RCC_CHAOS"] = args.chaos
+        return _chaos_battery_main(args, settings)
     if args.workloads:
-        return _workloads_main(args)
-    runner = _runner(args)
+        return _workloads_main(args, settings)
+    runner = _runner(args, settings)
     if args.replay:
         return _replay(args, runner)
 
@@ -328,7 +321,7 @@ def _main(args) -> int:
     result = run_campaign(runner, seed=args.seed, n_programs=args.programs,
                           knobs=knobs, shrink=not args.no_shrink,
                           on_program=progress,
-                          executor=_executor(args))
+                          executor=_executor(args, settings))
     print(result.render())
     for report in result.failures:
         print()

@@ -352,7 +352,8 @@ def run_campaign(runner: DifferentialRunner, seed: int, n_programs: int,
     knobs = knobs or FuzzKnobs()
     result = CampaignResult(seed, n_programs, knobs)
     t0 = time.time()
-    if executor is not None and (executor.jobs > 1 or executor.journaling):
+    if executor is not None and (executor.settings.jobs > 1
+                                 or executor.journaling):
         import dataclasses
         verdicts: Any = executor.map(
             _check_one, [(runner, seed + i, knobs)

@@ -24,13 +24,12 @@ to be slower — the lab flags collapse, not degradation.
 
 from __future__ import annotations
 
+import functools
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import os
 
 from repro.config import GPUConfig, named_config
 from repro.errors import InvariantViolation, ReproError
@@ -38,7 +37,7 @@ from repro.exec.cells import SimCell, canonical_overrides, derive_seed, \
     run_cell
 from repro.exec.engine import SweepExecutor
 from repro.perf.bench import calibrate
-from repro.sanitize.sanitizer import ENV_SANITIZE
+from repro.settings import Settings
 from repro.workloads.hostile import HostileRegime, select_regimes
 
 CAMPAIGN_SCHEMA = 1
@@ -52,8 +51,9 @@ DEFAULT_PROTOCOLS = ("MESI", "TCS", "TCW", "RCC", "RCC-WO")
 _INTENSITIES = (0.25, 0.5, 1.0)
 
 
-def _execute_hostile(cell: SimCell) -> Dict[str, Any]:
-    """Worker: run one hostile cell, fold failures into the record.
+def _execute_hostile(cell: SimCell,
+                     run: Callable[..., Any] = run_cell) -> Dict[str, Any]:
+    """Worker: run one hostile cell, sanitized, fold failures into the record.
 
     Violations and simulator errors are *results* of a fuzz campaign, not
     infrastructure failures, so they are caught here inside the worker —
@@ -63,7 +63,7 @@ def _execute_hostile(cell: SimCell) -> Dict[str, Any]:
     """
     t0 = time.perf_counter()
     try:
-        res = run_cell(cell)
+        res = run(cell, sanitize=True)
     except InvariantViolation as exc:
         return {"status": "violation", "wall_s": time.perf_counter() - t0,
                 "message": f"{type(exc).__name__}: {exc}"}
@@ -349,35 +349,28 @@ def run_hostile_campaign(
 ) -> HostileCampaignResult:
     """Run one workload-knob fuzz campaign; see the module docstring.
 
-    The sanitizer env toggle is set in the parent around the executor
-    call so forked workers inherit it — every hostile run executes with
-    invariant checking on, whatever the jobs count. ``lease_policy``
-    pins one policy on every run (otherwise each draw samples a policy
-    from the regime's ``ts_choices``).
+    Every hostile run executes with invariant checking on, whatever the
+    executor's settings; the default executor takes the environment's
+    settings but runs serially, so throughput cliffs can be judged.
+    ``lease_policy`` pins one policy on every run (otherwise each draw
+    samples a policy from the regime's ``ts_choices``).
     """
     regime_list = select_regimes(regimes)
     cfg = named_config(config_name)
     ts_pins = {"lease_policy": lease_policy} if lease_policy else None
     planned = plan_cells(regime_list, runs, seed, cfg, protocols, ts_pins)
-    executor = executor or SweepExecutor(jobs=1)
+    executor = executor or SweepExecutor(replace(Settings.from_env(), jobs=1))
     if calibration is None:
         calibration = calibrate()
 
-    prev = os.environ.get(ENV_SANITIZE)
-    os.environ[ENV_SANITIZE] = "1"
-    try:
-        records = executor.map(
-            _execute_hostile, [cell for _, cell in planned],
-            labels=[f"{reg.name}:{cell.label}" for reg, cell in planned],
-            meta={"campaign": "hostile-workloads", "config": config_name,
-                  "regimes": regimes, "runs": runs, "seed": seed,
-                  "protocols": list(protocols),
-                  "lease_policy": lease_policy})
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_SANITIZE, None)
-        else:
-            os.environ[ENV_SANITIZE] = prev
+    records = executor.map(
+        functools.partial(_execute_hostile, run=executor.run_cell),
+        [cell for _, cell in planned],
+        labels=[f"{reg.name}:{cell.label}" for reg, cell in planned],
+        meta={"campaign": "hostile-workloads", "config": config_name,
+              "regimes": regimes, "runs": runs, "seed": seed,
+              "protocols": list(protocols),
+              "lease_policy": lease_policy})
 
     hostile_runs = [
         HostileRun(regime=reg.name, cell=cell, config_name=config_name,
@@ -392,7 +385,7 @@ def run_hostile_campaign(
         baseline_path=baseline_path if baseline else None,
         baseline_norm_median=norm_med, baseline_stall_median=stall_med,
         cliff_ratio=cliff_ratio, stall_factor=stall_factor,
-        throughput_judged=executor.jobs <= 1)
+        throughput_judged=executor.settings.jobs <= 1)
     _attach_cliffs(result, trust_wall_clock=result.throughput_judged)
     if on_run:
         for i, r in enumerate(result.runs):

@@ -15,7 +15,8 @@ Simulation results are cached under ``.rcc-cache/`` (override with
 by a content hash of the full configuration, so a re-run after an
 unrelated edit replays from disk instead of resimulating. Parallelism
 defaults to ``RCC_JOBS`` (serial if unset); results are identical to a
-serial run either way.
+serial run either way. The ``RCC_*`` variables are read once, at entry
+(:mod:`repro.settings`).
 
 A failing experiment no longer aborts the rest: the runner reports it,
 continues with the remaining experiments, and exits non-zero at the end.
@@ -24,7 +25,6 @@ continues with the remaining experiments, and exits non-zero at the end.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import ResultCache, SweepExecutor
-from repro.sanitize.sanitizer import ENV_SANITIZE, ENV_TRACE_OUT
+from repro.settings import Settings, cli_parent, cli_settings
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, \
     Harness
 from repro.harness.tables import render_markdown
@@ -40,7 +40,7 @@ from repro.harness.tables import render_markdown
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="rcc-repro",
+        prog="rcc-repro", parents=[cli_parent()],
         description="Regenerate tables/figures from 'Efficient Sequential "
                     "Consistency in GPUs via Relativistic Cache Coherence' "
                     "(HPCA 2017).")
@@ -61,9 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the config's, i.e. 'fixed')")
     p.add_argument("--report", metavar="FILE",
                    help="also write a markdown report to FILE")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for independent simulation cells "
-                        "(default: RCC_JOBS or 1 = serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="do not read or write the on-disk result cache")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -74,23 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-cell wall-clock timeout; a wedged cell gets "
                         "its remaining retry budget in fresh workers "
                         "(default: none)")
-    p.add_argument("--journal-dir", metavar="DIR", default=None,
-                   help="journal every sweep batch as an append-only "
-                        "JSONL campaign file in DIR; an interrupted run "
-                        "re-invoked with the same flags resumes from its "
-                        "last completed cell (default: RCC_JOURNAL_DIR)")
-    p.add_argument("--resume", metavar="PATH", default=None,
-                   help="resume from a specific campaign journal file "
-                        "(errors if it belongs to a different campaign), "
-                        "or from a journal directory (same as "
-                        "--journal-dir)")
-    p.add_argument("--sanitize", action="store_true",
+    p.add_argument("--sanitize", action="store_true", default=None,
                    help="run every simulation with the coherence-invariant "
                         "sanitizer enabled (aborts on the first violation; "
-                        "implies --no-cache so every cell really runs)")
+                        "implies --no-cache so every cell really runs; "
+                        "default: RCC_SANITIZE)")
     p.add_argument("--trace-out", metavar="FILE",
                    help="with --sanitize: dump the last coherence events as "
-                        "JSON lines to FILE when a violation is caught")
+                        "JSON lines to FILE when a violation is caught "
+                        "(default: RCC_TRACE_OUT)")
     return p
 
 
@@ -119,24 +108,23 @@ def build_report(results: List[ExperimentResult]) -> str:
     return "\n".join(parts)
 
 
-def make_executor(args) -> SweepExecutor:
-    """The sweep executor the CLI flags describe."""
-    # --sanitize disables the cache: a cached result would skip the
+def make_executor(args, settings: Settings) -> SweepExecutor:
+    """The sweep executor the CLI flags and settings describe."""
+    # Sanitizing disables the cache: a cached result would skip the
     # simulation, and with it every invariant check.
-    cache = (None if args.no_cache or args.sanitize
-             else ResultCache(args.cache_dir))
-    return SweepExecutor(jobs=args.jobs, cache=cache,
-                         timeout=args.cell_timeout, on_summary=print,
-                         journal_dir=args.journal_dir, resume=args.resume)
+    cache = (None if args.no_cache or settings.sanitize
+             else ResultCache(settings.cache_dir))
+    return SweepExecutor(settings, cache=cache, timeout=args.cell_timeout,
+                         on_summary=print, journal_dir=args.journal_dir,
+                         resume=args.resume)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.sanitize:
-        # Environment toggles, so forked sweep workers inherit them.
-        os.environ[ENV_SANITIZE] = "1"
-        if args.trace_out:
-            os.environ[ENV_TRACE_OUT] = args.trace_out
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    settings = cli_settings(parser, args, cache_dir=args.cache_dir,
+                            sanitize=args.sanitize,
+                            trace_out=args.trace_out)
     cfg = GPUConfig.paper() if args.paper_config else GPUConfig.bench()
     if args.lease_policy:
         import dataclasses
@@ -144,7 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ts=dataclasses.replace(cfg.ts, lease_policy=args.lease_policy))
     intensity = 0.1 if args.quick else args.intensity
     harness = Harness(cfg=cfg, intensity=intensity, seed=args.seed,
-                      executor=make_executor(args))
+                      executor=make_executor(args, settings))
 
     succeeded: List[ExperimentResult] = []
     failures: List[Tuple[str, BaseException]] = []

@@ -13,25 +13,29 @@ scheduler noise).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import platform
 import subprocess
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
-from repro.exec import SimCell, run_cell
+from repro.exec import SimCell, SweepExecutor, run_cell
+from repro.settings import Settings
 
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
 
-ABLATION_SCHEMA = 3
+ABLATION_SCHEMA = 4
 
 
-def provenance() -> Dict[str, Any]:
-    """Where a report's numbers came from: git revision and the
-    interpreter. Stamped into every BENCH_*/ABLATION_* report so a
-    committed artifact is self-describing."""
+def provenance(settings: Settings) -> Dict[str, Any]:
+    """Where a report's numbers came from: git revision, the interpreter,
+    and the settings that shape how cells ran. Stamped into every
+    BENCH_*/ABLATION_* report so a committed artifact is self-describing.
+    Paths stay out, so two runs in different directories report alike."""
     here = os.path.dirname(os.path.abspath(__file__))
     sha = "unknown"
     dirty = False
@@ -51,6 +55,8 @@ def provenance() -> Dict[str, Any]:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
+        "settings": {"jobs": settings.jobs, "sanitize": settings.sanitize,
+                     "chaos": settings.chaos},
     }
 
 #: Protocols × workloads of the lease-policy ablation: both RCC variants
@@ -113,9 +119,10 @@ def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
     return iters / best
 
 
-def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
+def _measure(cell: SimCell, run: Callable[..., Any] = run_cell
+             ) -> Tuple[Dict[str, Any], Any]:
     t0 = time.perf_counter()
-    result = run_cell(cell)
+    result = run(cell)
     wall = time.perf_counter() - t0
     fired = getattr(result, "events_fired", 0) or 0
     cycles = getattr(result, "cycles", 0) or 0
@@ -139,7 +146,8 @@ def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
     )
 
 
-def profile_cell(cell: SimCell, top_n: int = 15) -> List[Dict[str, Any]]:
+def profile_cell(cell: SimCell, top_n: int = 15,
+                 run: Callable[..., Any] = run_cell) -> List[Dict[str, Any]]:
     """Re-run one cell under cProfile; top-``top_n`` functions by
     cumulative time. Run separately from :func:`_measure` so profiler
     overhead never contaminates the reported throughput."""
@@ -148,7 +156,7 @@ def profile_cell(cell: SimCell, top_n: int = 15) -> List[Dict[str, Any]]:
 
     prof = cProfile.Profile()
     prof.enable()
-    run_cell(cell)
+    run(cell)
     prof.disable()
     stats = pstats.Stats(prof)
     rows: List[Dict[str, Any]] = []
@@ -170,9 +178,13 @@ def profile_cell(cell: SimCell, top_n: int = 15) -> List[Dict[str, Any]]:
     return rows
 
 
-def run_bench(quick: bool = False,
-              profile_top: int = 0) -> Dict[str, Any]:
+def run_bench(quick: bool = False, profile_top: int = 0,
+              executor: Optional[SweepExecutor] = None) -> Dict[str, Any]:
     """Run the benchmark suite; returns the report dict.
+
+    Cells run one at a time, in this process, through ``executor.run_cell``
+    (default: the environment's settings), so the report records jobs 1
+    and no chaos.
 
     With ``profile_top`` > 0, every cell is re-run under cProfile after
     its timing run and the report gains a per-cell ``profile`` block with
@@ -180,22 +192,25 @@ def run_bench(quick: bool = False,
     profiler-free).
     """
     cells = quick_cells() if quick else full_cells()
+    executor = executor or SweepExecutor()
     calibration = calibrate()
     report: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "provenance": provenance(),
+        "provenance": provenance(dataclasses.replace(
+            executor.settings, jobs=1, chaos=None)),
         "calibration_loops_per_s": round(calibration, 1),
         "cells": {},
     }
     total_wall = 0.0
     total_events = 0
     for cell in cells:
-        entry, _ = _measure(cell)
+        entry, _ = _measure(cell, executor.run_cell)
         entry["events_per_s_normalized"] = round(
             entry["events_per_s"] / calibration, 6)
         if profile_top > 0:
-            entry["profile"] = profile_cell(cell, top_n=profile_top)
+            entry["profile"] = profile_cell(cell, profile_top,
+                                            executor.run_cell)
         report["cells"][cell.label] = entry
         total_wall += entry["wall_s"]
         total_events += entry["events"]
@@ -228,12 +243,13 @@ def ablation_cells(quick: bool = False,
     ]
 
 
-def _ablation_worker(cell: SimCell) -> Dict[str, Any]:
-    """Worker: run one ablation cell and report its metrics (module level
-    so the sweep executor can ship it to worker processes; the
-    calibration-normalized throughput is attached in the parent)."""
+def _ablation_worker(cell: SimCell, run: Callable[..., Any] = run_cell
+                     ) -> Dict[str, Any]:
+    """Worker: run one ablation cell with ``run`` and report its metrics
+    (module level so the sweep executor can ship it to worker processes;
+    the calibration-normalized throughput is attached in the parent)."""
     t0 = time.perf_counter()
-    result = run_cell(cell)
+    result = run(cell)
     wall = time.perf_counter() - t0
     mem_ops = result.mem_ops or 0
     renew_traffic = (getattr(result, "l2_renew_grants", 0) or 0) \
@@ -261,7 +277,8 @@ def run_lease_ablation(quick: bool = False,
                        policies: Optional[List[str]] = None,
                        workloads: Optional[List[str]] = None,
                        intensity: Optional[float] = None,
-                       executor: Optional[Any] = None) -> Dict[str, Any]:
+                       executor: Optional[SweepExecutor] = None
+                       ) -> Dict[str, Any]:
     """Fig. 9-style lease-policy ablation report.
 
     For every (policy, protocol, workload) cell: simulated runtime,
@@ -270,35 +287,35 @@ def run_lease_ablation(quick: bool = False,
     report groups per policy so the rendering and EXPERIMENTS.md table
     read straight off it.
 
-    With an ``executor`` (a :class:`~repro.exec.SweepExecutor`) the grid
-    fans out over its worker pool and, when the executor journals, each
-    cell's metrics land in the campaign journal as it finishes — an
-    interrupted ablation resumes without re-simulating completed cells.
+    The grid runs on ``executor`` (default: ``SweepExecutor()``, i.e.
+    the environment's settings): it fans out over the executor's worker
+    pool, runs sanitized when its settings say so, and, when the executor
+    journals, each cell's metrics land in the campaign journal as it
+    finishes — an interrupted ablation resumes without re-simulating
+    completed cells.
     """
     cells = ablation_cells(quick=quick, policies=policies,
                            workloads=workloads)
     if intensity is not None:
-        import dataclasses
         cells = [dataclasses.replace(c, intensity=intensity) for c in cells]
+    executor = executor or SweepExecutor()
     calibration = calibrate()
     report: Dict[str, Any] = {
         "schema": ABLATION_SCHEMA,
         "kind": "lease-ablation",
         "mode": "quick" if quick else "full",
-        "provenance": provenance(),
+        "provenance": provenance(executor.settings),
         "calibration_loops_per_s": round(calibration, 1),
         "policies": {},
     }
     labels = [f"{c.lease_policy}/{c.protocol}/{c.workload}" for c in cells]
-    if executor is not None:
-        entries = executor.map(
-            _ablation_worker, cells, labels=labels,
-            meta={"campaign": "lease-ablation",
-                  "mode": report["mode"], "intensity": intensity,
-                  "policies": list(policies or []),
-                  "workloads": list(workloads or [])})
-    else:
-        entries = [_ablation_worker(c) for c in cells]
+    entries = executor.map(
+        functools.partial(_ablation_worker, run=executor.run_cell),
+        cells, labels=labels,
+        meta={"campaign": "lease-ablation",
+              "mode": report["mode"], "intensity": intensity,
+              "policies": list(policies or []),
+              "workloads": list(workloads or [])})
     for cell, entry in zip(cells, entries):
         wall = entry["wall_s"]
         entry["events_per_s_normalized"] = round(

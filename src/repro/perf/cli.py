@@ -17,8 +17,10 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.exec import SweepExecutor
 from repro.perf.bench import (compare_to_baseline, render_ablation,
                               run_bench, run_lease_ablation)
+from repro.settings import cli_parent, cli_settings
 
 
 def _default_out() -> str:
@@ -52,8 +54,10 @@ def _render(report: dict) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-perf",
-        description="Simulator throughput benchmark and regression gate.")
+        prog="repro-perf", parents=[cli_parent()],
+        description="Simulator throughput benchmark and regression gate; "
+                    "--jobs, --journal-dir and --resume apply to "
+                    "--lease-ablation only.")
     parser.add_argument("--quick", action="store_true",
                         help="small-machine smoke subset (CI)")
     parser.add_argument("--out", default=None, metavar="FILE",
@@ -83,17 +87,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--intensity", type=float, default=None,
                         help="with --lease-ablation: workload scale factor "
                              "(default: the cells' own, 0.25)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="with --lease-ablation: worker processes for "
-                             "the grid (default: RCC_JOBS or 1)")
-    parser.add_argument("--journal-dir", metavar="DIR", default=None,
-                        help="with --lease-ablation: journal the campaign "
-                             "to DIR; re-running the same command resumes "
-                             "from the last completed cell")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="with --lease-ablation: resume from a journal "
-                             "file (or directory, same as --journal-dir)")
     args = parser.parse_args(argv)
+    settings = cli_settings(parser, args)
 
     if (args.check or args.update_baseline) and not args.baseline:
         parser.error("--check/--update-baseline require --baseline")
@@ -102,13 +97,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--lease-ablation does not combine with baseline "
                      "or profile modes")
 
+    executor = SweepExecutor(settings, journal_dir=args.journal_dir,
+                             resume=args.resume, on_summary=print)
     if args.lease_ablation:
-        executor = None
-        if args.jobs or args.journal_dir or args.resume:
-            from repro.exec import SweepExecutor
-            executor = SweepExecutor(jobs=args.jobs,
-                                     journal_dir=args.journal_dir,
-                                     resume=args.resume, on_summary=print)
         report = run_lease_ablation(quick=args.quick,
                                     intensity=args.intensity,
                                     executor=executor)
@@ -120,7 +111,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"report written to {out}")
         return 0
 
-    report = run_bench(quick=args.quick, profile_top=args.profile)
+    report = run_bench(quick=args.quick, profile_top=args.profile,
+                       executor=executor)
     print(_render(report))
 
     out = args.out or _default_out()

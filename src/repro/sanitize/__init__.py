@@ -10,13 +10,7 @@ from repro.sanitize.invariants import (
     Violation,
     suites_for,
 )
-from repro.sanitize.sanitizer import (
-    ENV_SANITIZE,
-    ENV_TRACE_OUT,
-    Sanitizer,
-    sanitize_enabled_from_env,
-    trace_out_from_env,
-)
+from repro.sanitize.sanitizer import Sanitizer
 
 __all__ = [
     "CoherenceEvent",
@@ -30,8 +24,4 @@ __all__ = [
     "CrossProtocolInvariants",
     "suites_for",
     "Sanitizer",
-    "sanitize_enabled_from_env",
-    "trace_out_from_env",
-    "ENV_SANITIZE",
-    "ENV_TRACE_OUT",
 ]

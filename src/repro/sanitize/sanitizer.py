@@ -15,30 +15,11 @@ allocation, no formatting, nothing observable (byte-identical reports).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 from repro.errors import InvariantViolation
 from repro.sanitize.events import CoherenceEvent, TraceRing
 from repro.sanitize.invariants import suites_for
-
-#: Environment toggles honoured by worker cells (exec/cells.py), so the
-#: sweep executor's forked workers inherit the runner's --sanitize flag.
-ENV_SANITIZE = "RCC_SANITIZE"
-ENV_TRACE_OUT = "RCC_TRACE_OUT"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def sanitize_enabled_from_env(environ=None) -> bool:
-    """Is the ``RCC_SANITIZE`` toggle set to a truthy value?"""
-    env = os.environ if environ is None else environ
-    return env.get(ENV_SANITIZE, "").strip().lower() in _TRUTHY
-
-
-def trace_out_from_env(environ=None) -> Optional[str]:
-    env = os.environ if environ is None else environ
-    return env.get(ENV_TRACE_OUT) or None
 
 
 class Sanitizer:

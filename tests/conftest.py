@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Any
+
 import pytest
 
 from repro.config import GPUConfig
+from repro.exec import SimCell, run_cell
 from repro.gpu.trace import WarpTrace
+from repro.settings import Settings
 from repro.sim.gpusim import run_simulation
+from repro.sim.results import SimResult
+
+#: The run settings of the environment the suite runs in. Tests build
+#: their executors from them and run cells with them, so ``RCC_SANITIZE=1``
+#: checks every simulation the suite runs through the sweep layer, as it
+#: does in a CLI run.
+ENV = Settings.from_env()
+
+
+def env_settings(**changes: Any) -> Settings:
+    """:data:`ENV` with ``changes`` (e.g. ``jobs=2``) laid over it."""
+    return dataclasses.replace(ENV, **changes)
+
+
+def env_run_cell(cell: SimCell) -> SimResult:
+    """:func:`run_cell` with :data:`ENV`'s sanitizer settings."""
+    return run_cell(cell, ENV.sanitize, ENV.trace_out)
 
 #: All protocols, and the subsets most tests sweep.
 ALL_PROTOCOLS = ["MESI", "TCS", "TCW", "RCC", "RCC-WO", "SC-IDEAL"]

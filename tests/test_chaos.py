@@ -14,9 +14,13 @@ import errno
 
 import pytest
 
-from repro.chaos import FaultPlan, plan_from_env
+from repro.chaos import CHAOS_EXIT_CODE, FaultPlan
 from repro.chaos.campaign import DEFAULT_PLANS, _run_cache_plan, _run_map_plan
 from repro.chaos.plan import ChaosError
+from repro.config import GPUConfig
+from repro.exec import SimCell, SweepExecutor
+from repro.settings import Settings
+from tests.conftest import ENV, env_settings
 
 
 class TestSpecGrammar:
@@ -121,20 +125,41 @@ class TestByteCorruption:
         clean.check_write("cache", "k")  # no-op
 
 
-class TestEnvPlumbing:
-    def test_unset_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv("RCC_CHAOS", raising=False)
-        assert plan_from_env() is None
-        monkeypatch.setenv("RCC_CHAOS", "")
-        assert plan_from_env() is None
+class _Killed(BaseException):
+    """Stands in for the ``os._exit`` of the campaign-kill fault."""
 
-    def test_same_spec_memoized_new_spec_reparsed(self, monkeypatch):
-        monkeypatch.setenv("RCC_CHAOS", "flaky;seed=5")
-        first = plan_from_env()
-        assert first is plan_from_env(), (
-            "plan must be memoized — exit-after counts completions on it")
-        monkeypatch.setenv("RCC_CHAOS", "flaky;seed=6")
-        assert plan_from_env().seed == 6
+
+class TestEnvPlumbing:
+    """How ``RCC_CHAOS`` becomes the executor's one fault plan."""
+
+    def test_unset_means_no_plan(self):
+        for env in ({}, {"RCC_CHAOS": ""}):
+            settings = Settings.from_env(env)
+            assert settings.chaos is None
+            assert SweepExecutor(settings).plan is None
+        plan = SweepExecutor(Settings(chaos="flaky;seed=5")).plan
+        assert plan.seed == 5 and "flaky" in plan.faults
+
+    def test_exit_after_counts_across_batches(self, tmp_path, monkeypatch):
+        def fake_exit(code):
+            raise _Killed(code)
+
+        monkeypatch.setattr("repro.chaos.plan.os._exit", fake_exit)
+        cells = [SimCell(cfg=GPUConfig.small(), protocol=p, workload=w,
+                         intensity=0.05)
+                 for w in ("bfs", "stn") for p in ("RCC", "MESI")]
+        ex = SweepExecutor(env_settings(jobs=1, chaos="exit-after=3"),
+                           journal_dir=str(tmp_path),
+                           on_summary=lambda s: None)
+        assert len(ex.run_cells(cells[:2])) == 2
+        # The third journaled completion overall is the first of this
+        # batch: one plan counts across every batch of the executor.
+        with pytest.raises(_Killed) as killed:
+            ex.run_cells(cells[2:])
+        assert killed.value.args == (CHAOS_EXIT_CODE,)
+        with open(ex.last_journal_path) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 2  # the header and the killing completion
 
 
 class TestContractBattery:
@@ -145,7 +170,8 @@ class TestContractBattery:
         "plan", DEFAULT_PLANS,
         ids=[f"{p.mode}-{p.spec.split(';')[0]}" for p in DEFAULT_PLANS])
     def test_plan_upholds_contract(self, plan, tmp_path):
-        runner = (_run_cache_plan if plan.mode in ("cache",)
-                  else _run_map_plan)
-        outcome = runner(plan, str(tmp_path))
+        if plan.mode == "cache":
+            outcome = _run_cache_plan(plan, str(tmp_path), ENV.sanitize)
+        else:
+            outcome = _run_map_plan(plan, str(tmp_path))
         assert outcome.ok, outcome.describe()

@@ -23,9 +23,10 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.errors import DeadlockError, SimulationError
-from repro.exec import SimCell, run_cell
+from repro.exec import SimCell
 from repro.sim import gpusim
 from repro.timing.engine import Engine
+from tests.conftest import env_run_cell
 
 Callback = Callable[[], None]
 
@@ -352,8 +353,8 @@ def test_fig9_cell_payload_identical_across_engines(monkeypatch, protocol,
                                                     workload):
     cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
                    workload=workload, intensity=0.25, seed=1234)
-    fast = run_cell(cell).to_payload()
+    fast = env_run_cell(cell).to_payload()
     monkeypatch.setattr(gpusim, "Engine", LegacyEngine)
-    legacy = run_cell(cell).to_payload()
+    legacy = env_run_cell(cell).to_payload()
     assert json.dumps(fast, sort_keys=True) == json.dumps(legacy,
                                                           sort_keys=True)

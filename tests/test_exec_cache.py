@@ -17,11 +17,11 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.exec import (
-    ResultCache, SimCell, SweepExecutor, cell_key, run_cell, sweep_cells,
+    ResultCache, SimCell, SweepExecutor, cell_key, sweep_cells,
 )
 from repro.gpu.trace import store_op
 from repro.sim.gpusim import run_simulation
-from tests.conftest import program_traces
+from tests.conftest import env_run_cell, env_settings, program_traces
 
 BASE = SimCell(cfg=GPUConfig.small(), protocol="RCC", workload="dlb",
                intensity=0.1, seed=42)
@@ -29,7 +29,7 @@ BASE = SimCell(cfg=GPUConfig.small(), protocol="RCC", workload="dlb",
 
 @pytest.fixture(scope="module")
 def base_result():
-    return run_cell(BASE)
+    return env_run_cell(BASE)
 
 
 class TestRoundTrip:
@@ -154,17 +154,19 @@ class TestCorruption:
     def test_corrupted_cell_recomputed_through_executor(self, tmp_path,
                                                         base_result):
         cache = ResultCache(str(tmp_path))
-        ex = SweepExecutor(jobs=1, cache=cache)
+        ex = SweepExecutor(env_settings(jobs=1), cache=cache)
         first = ex.run_cells([BASE])[0]
         path = cache.path_for(cell_key(BASE))
         with open(path, "w") as f:
             f.write("{\"truncated\": tru")
-        again = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)))
+        again = SweepExecutor(env_settings(jobs=1),
+                              cache=ResultCache(str(tmp_path)))
         second = again.run_cells([BASE])[0]
         assert second.to_payload() == first.to_payload()
         assert again.last_stats.n_computed == 1
         # ... and the recomputed result was re-cached, valid this time.
-        third = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)))
+        third = SweepExecutor(env_settings(jobs=1),
+                              cache=ResultCache(str(tmp_path)))
         assert third.run_cells([BASE])[0].to_payload() == first.to_payload()
         assert third.last_stats.n_cached == 1
 
@@ -261,32 +263,24 @@ class TestSizeBound:
         assert len([f for f in os.listdir(str(tmp_path))
                     if f.endswith(".json")]) == 6
 
-    def test_env_bounds_respected(self, tmp_path, base_result, monkeypatch):
-        monkeypatch.setenv("RCC_CACHE_MAX_ENTRIES", "2")
-        monkeypatch.setenv("RCC_CACHE_MAX_BYTES", "0")
-        cache = ResultCache(str(tmp_path))
-        assert cache.max_entries == 2 and cache.max_bytes == 0
-        self._fill(cache, base_result, 2)
-        assert cache.put("ee" + "0" * 62, base_result)
-        assert cache.evictions == 1
-
     def test_sweep_stats_carry_cache_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cold = SweepExecutor(jobs=1, cache=cache)
+        cold = SweepExecutor(env_settings(jobs=1), cache=cache)
         cold.run_cells([BASE])
         assert cold.last_stats.cache_hits == 0
         assert cold.last_stats.cache_misses == 1
         assert cold.last_stats.cache_evictions == 0
         assert "cache 0 hit/1 miss" in cold.last_stats.render()
 
-        warm = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)))
+        warm = SweepExecutor(env_settings(jobs=1),
+                             cache=ResultCache(str(tmp_path)))
         warm.run_cells([BASE])
         assert warm.last_stats.cache_hits == 1
         assert warm.last_stats.cache_misses == 0
         assert "cache 1 hit/0 miss" in warm.last_stats.render()
 
     def test_stats_without_cache_omit_counters(self):
-        ex = SweepExecutor(jobs=1, cache=None)
+        ex = SweepExecutor(env_settings(jobs=1), cache=None)
         ex.run_cells([BASE])
         assert ex.last_stats.cache_hits is None
         assert "cache" not in ex.last_stats.render()
@@ -302,14 +296,16 @@ class TestWarmSweep:
             ["bh", "bfs", "cl", "dlb", "stn", "vpr", "hsp", "kmn", "lps",
              "ndl", "sr", "lud"],
             intensity=0.3, seed=7)
-        cold_ex = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)))
+        cold_ex = SweepExecutor(env_settings(jobs=1),
+                                cache=ResultCache(str(tmp_path)))
         t0 = time.perf_counter()
         cold = cold_ex.run_cells(cells)
         cold_wall = time.perf_counter() - t0
         assert cold_ex.last_stats.n_computed == len(cells)
         assert cold_wall > 0.5, "sweep too small to time meaningfully"
 
-        warm_ex = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path)))
+        warm_ex = SweepExecutor(env_settings(jobs=1),
+                                cache=ResultCache(str(tmp_path)))
         t0 = time.perf_counter()
         warm = warm_ex.run_cells(cells)
         warm_wall = time.perf_counter() - t0

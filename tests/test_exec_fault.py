@@ -23,6 +23,7 @@ import pytest
 from repro.errors import FAILURE_KINDS, HarnessError
 from repro.exec import RetryPolicy, SweepExecutor
 from repro.harness import runner as runner_cli
+from tests.conftest import env_settings
 
 #: Fast retry budget for fault tests: 2 attempts, near-zero backoff.
 FAST2 = RetryPolicy(max_attempts=2, base_delay=0.01)
@@ -58,13 +59,13 @@ def _echo_worker(item):
     return item * 2
 
 
-def _boom_cell_worker(cell):
+def _boom_cell_worker(cell, **settings):
     raise ValueError("injected cell failure")
 
 
 class TestTimeoutAndRetry:
     def test_hung_worker_times_out_retried_then_harness_error(self):
-        ex = SweepExecutor(jobs=2, timeout=0.75, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.75, retry=FAST2)
         t0 = time.perf_counter()
         with pytest.raises(HarnessError) as err:
             ex.map(_hang_worker, [1], labels=["wedged-cell"])
@@ -77,7 +78,7 @@ class TestTimeoutAndRetry:
         assert failure.attempts == 2
 
     def test_raising_worker_retried_then_harness_error(self):
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["x"])
         assert ex.last_stats.retries == 1
@@ -86,7 +87,7 @@ class TestTimeoutAndRetry:
         assert failure.kind == "exception"
 
     def test_dead_worker_not_a_bare_broken_process_pool(self):
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_worker, [1])
         (failure,) = err.value.failures
@@ -97,12 +98,12 @@ class TestTimeoutAndRetry:
 
     def test_transient_failure_recovers_on_retry(self, tmp_path):
         sentinel = str(tmp_path / "sentinel")
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
         assert ex.map(_flaky_worker, [sentinel]) == ["ok"]
         assert ex.last_stats.retries == 1
 
     def test_serial_failure_also_wrapped(self):
-        ex = SweepExecutor(jobs=1, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=1), retry=FAST2)
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["y"])
         assert ex.last_stats.retries == 1
@@ -114,17 +115,11 @@ class TestTimeoutAndRetry:
         # map() is all-or-error per batch, but the error must arrive only
         # after every healthy cell had its chance (results are computed
         # before the batch raises).
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["a", "b"])
         assert str(err.value).startswith("2 cell(s) failed")
         assert [f.kind for f in err.value.failures] == ["exception"] * 2
-
-    def test_retry_policy_env_override(self, monkeypatch):
-        monkeypatch.setenv("RCC_MAX_ATTEMPTS", "1")
-        assert RetryPolicy.from_env().max_attempts == 1
-        monkeypatch.setenv("RCC_MAX_ATTEMPTS", "junk")
-        assert RetryPolicy.from_env().max_attempts == 3
 
     def test_backoff_is_bounded_exponential(self):
         policy = RetryPolicy(max_attempts=9, base_delay=0.05, max_delay=0.3)
@@ -139,7 +134,7 @@ class TestPoolRebuild:
 
     def test_one_crasher_does_not_amplify_pool_builds(self):
         items = [0, 1, 2, 3, 4, 5]
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_if_zero_worker, items)
         # Only the actual crasher surfaces, classified in the taxonomy.
@@ -154,7 +149,7 @@ class TestPoolRebuild:
         assert ex.last_stats.pool_rebuilds >= 1
 
     def test_healthy_siblings_complete_despite_crasher(self):
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_if_zero_worker, [0, 1, 2, 3])
         labels = [f.label for f in err.value.failures]
@@ -178,14 +173,14 @@ class TestWedgedWorkerReaping:
 
     def test_timeout_reaps_wedged_workers(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(jobs=2, timeout=0.5, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5, retry=FAST2)
         with pytest.raises(HarnessError):
             ex.map(_hang_worker, [1, 2], labels=["w1", "w2"])
         self._assert_no_leaked_children(before)
 
     def test_isolated_retry_pool_reaped_on_timeout(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(jobs=2, timeout=0.5, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5, retry=FAST3)
         with pytest.raises(HarnessError) as err:
             ex.map(_hang_worker, [1])
         (failure,) = err.value.failures
@@ -195,7 +190,7 @@ class TestWedgedWorkerReaping:
 
     def test_crash_then_success_leaves_no_processes(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(jobs=2, timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
         with pytest.raises(HarnessError):
             ex.map(_die_if_zero_worker, [0, 1, 2])
         self._assert_no_leaked_children(before)
@@ -203,13 +198,20 @@ class TestWedgedWorkerReaping:
 
 class TestFallback:
     def test_in_process_fallback_when_mp_unavailable(self, monkeypatch):
-        monkeypatch.setenv("RCC_NO_MP", "1")
-        ex = SweepExecutor(jobs=4)
+        import concurrent.futures
+
+        def no_pools(*args, **kwargs):
+            raise OSError("process pools unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pools)
+        ex = SweepExecutor(env_settings(jobs=4))
         assert ex.map(_echo_worker, [1, 2, 3]) == [2, 4, 6]
         assert ex.last_stats.mode == "serial-fallback"
+        assert ex.pools_built == 0
 
     def test_serial_is_default(self):
-        ex = SweepExecutor(jobs=1)
+        ex = SweepExecutor(env_settings(jobs=1))
         assert ex.map(_echo_worker, [5]) == [10]
         assert ex.last_stats.mode == "serial"
 

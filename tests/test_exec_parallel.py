@@ -18,6 +18,7 @@ from repro.exec import SweepExecutor, derive_seed, sweep_cells
 from repro.fuzz import DifferentialRunner, run_campaign
 from repro.harness.experiments import ALL_EXPERIMENTS, Harness
 from repro.harness import runner as runner_cli
+from tests.conftest import env_settings
 
 INTENSITY = 0.1
 SEED = 99
@@ -30,7 +31,7 @@ SIM_EXPERIMENTS = [n for n in ALL_EXPERIMENTS if n != "fuzz"]
 
 def make_harness(jobs: int) -> Harness:
     return Harness(cfg=GPUConfig.small(), intensity=INTENSITY, seed=SEED,
-                   executor=SweepExecutor(jobs=jobs))
+                   executor=SweepExecutor(env_settings(jobs=jobs)))
 
 
 def run_experiment(harness: Harness, name: str):
@@ -86,8 +87,8 @@ def test_executor_payloads_identical_across_modes():
     from worker processes are byte-equivalent to in-process ones."""
     cells = sweep_cells(GPUConfig.small(), ["RCC", "MESI"], ["dlb", "bfs"],
                         INTENSITY, SEED)
-    serial = SweepExecutor(jobs=1).run_cells(cells)
-    parallel = SweepExecutor(jobs=4).run_cells(cells)
+    serial = SweepExecutor(env_settings(jobs=1)).run_cells(cells)
+    parallel = SweepExecutor(env_settings(jobs=4)).run_cells(cells)
     assert ([r.to_payload() for r in serial]
             == [r.to_payload() for r in parallel])
 
@@ -102,7 +103,7 @@ def test_fuzz_campaign_parallel_equivalent():
                             executor=executor)
 
     serial = campaign(None)
-    parallel = campaign(SweepExecutor(jobs=2))
+    parallel = campaign(SweepExecutor(env_settings(jobs=2)))
     assert table_of(serial.as_experiment()) \
         == table_of(parallel.as_experiment())
     assert serial.programs_failed == parallel.programs_failed

@@ -18,7 +18,6 @@ from repro.fuzz.workloads import (
     DEFAULT_PROTOCOLS, _INTENSITIES, HostileCampaignResult, HostileRun,
     _attach_cliffs, _execute_hostile, plan_cells, run_hostile_campaign,
 )
-from repro.sanitize.sanitizer import ENV_SANITIZE
 from repro.workloads import REGIMES, get_workload
 from repro.workloads.hostile import select_regimes
 
@@ -79,19 +78,17 @@ class TestExecuteHostile:
         assert rec["wall_s"] > 0 and rec["events_per_s"] > 0
         assert "sc_stall_cycles" in rec and "rollovers" in rec
 
-    def test_violation_becomes_a_record(self, monkeypatch):
-        def boom(cell):
+    def test_violation_becomes_a_record(self):
+        def boom(cell, **settings):
             raise InvariantViolation("rcc.test", "<ev>", "detail", "cite")
-        monkeypatch.setattr("repro.fuzz.workloads.run_cell", boom)
-        rec = _execute_hostile(_tiny_cell())
+        rec = _execute_hostile(_tiny_cell(), run=boom)
         assert rec["status"] == "violation"
         assert "rcc.test" in rec["message"]
 
-    def test_error_becomes_a_record(self, monkeypatch):
-        def boom(cell):
+    def test_error_becomes_a_record(self):
+        def boom(cell, **settings):
             raise ReproError("engine exploded")
-        monkeypatch.setattr("repro.fuzz.workloads.run_cell", boom)
-        rec = _execute_hostile(_tiny_cell())
+        rec = _execute_hostile(_tiny_cell(), run=boom)
         assert rec["status"] == "error"
         assert "engine exploded" in rec["message"]
 
@@ -161,8 +158,8 @@ class TestAttachCliffs:
 # The campaign driver
 # ----------------------------------------------------------------------
 class TestCampaign:
-    def test_small_campaign_clean_and_env_restored(self, monkeypatch):
-        monkeypatch.delenv(ENV_SANITIZE, raising=False)
+    def test_small_campaign_clean_and_env_restored(self):
+        env = dict(os.environ)
         seen = []
         result = run_hostile_campaign(
             config_name="small", regimes="all", runs=5, seed=0,
@@ -173,7 +170,7 @@ class TestCampaign:
         assert {r.regime for r in result.runs} == set(REGIMES)
         assert all(r.ok for r in result.runs)
         assert len(seen) == 5
-        assert ENV_SANITIZE not in os.environ  # restored
+        assert dict(os.environ) == env  # never written
         assert result.throughput_judged  # serial default executor
 
     def test_campaign_report_round_trips_as_json(self, tmp_path):

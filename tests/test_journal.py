@@ -21,6 +21,7 @@ from repro.exec import (
     cell_key, decode_value, encode_value, payload_digest,
 )
 from repro.exec.journal import _load_journal
+from tests.conftest import env_settings
 
 CELLS = [
     SimCell(cfg=GPUConfig.small(), protocol=proto, workload="bfs",
@@ -173,7 +174,7 @@ class TestJournalFile:
 
 class TestExecutorResume:
     def _run(self, tmp_path, **kw):
-        ex = SweepExecutor(jobs=1, on_summary=lambda s: None, **kw)
+        ex = SweepExecutor(env_settings(jobs=1), on_summary=lambda s: None, **kw)
         return ex, ex.run_cells(CELLS, meta={"suite": "test"})
 
     def test_second_run_replays_everything(self, tmp_path):
@@ -194,7 +195,7 @@ class TestExecutorResume:
     def test_cacheless_map_campaign_replays_from_embedded(self, tmp_path):
         jdir = str(tmp_path / "journals")
         calls = tmp_path / "calls"
-        ex1 = SweepExecutor(jobs=1, journal_dir=jdir,
+        ex1 = SweepExecutor(env_settings(jobs=1), journal_dir=jdir,
                             on_summary=lambda s: None)
         first = ex1.map(_count_and_square, [(str(calls), x)
                                             for x in (2, 3)],
@@ -202,7 +203,7 @@ class TestExecutorResume:
         assert first == [4, 9]
         assert len(calls.read_text()) == 2
 
-        ex2 = SweepExecutor(jobs=1, journal_dir=jdir,
+        ex2 = SweepExecutor(env_settings(jobs=1), journal_dir=jdir,
                             on_summary=lambda s: None)
         second = ex2.map(_count_and_square, [(str(calls), x)
                                              for x in (2, 3)],
@@ -241,7 +242,8 @@ class TestExecutorResume:
         blob["digest"] = result_digest(blob["result"])
         json.dump(blob, open(path, "w"))
 
-        ex = SweepExecutor(jobs=1, cache=ResultCache(str(tmp_path / "cache")),
+        ex = SweepExecutor(env_settings(jobs=1),
+                           cache=ResultCache(str(tmp_path / "cache")),
                            journal_dir=jdir, on_summary=lambda s: None)
         with pytest.raises(HarnessError) as err:
             ex.run_cells(CELLS, meta={"suite": "test"})
@@ -266,24 +268,19 @@ class TestExecutorResume:
         ex1, _ = self._run(tmp_path, journal_dir=jdir)
         path = ex1.last_journal_path
         other = [CELLS[0]]  # different plan -> different campaign id
-        ex2 = SweepExecutor(jobs=1, resume=path, on_summary=lambda s: None)
+        ex2 = SweepExecutor(env_settings(jobs=1),
+                            resume=path, on_summary=lambda s: None)
         with pytest.raises(JournalError, match="different campaign"):
             ex2.run_cells(other, meta={"suite": "test"})
 
     def test_resume_directory_means_journal_dir(self, tmp_path):
         jdir = tmp_path / "journals"
         jdir.mkdir()
-        ex = SweepExecutor(jobs=1, resume=str(jdir),
+        ex = SweepExecutor(env_settings(jobs=1), resume=str(jdir),
                            on_summary=lambda s: None)
         assert ex.journal_dir == str(jdir)
         assert ex.resume is None
         assert ex.journaling
-
-    def test_env_var_enables_journaling(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RCC_JOURNAL_DIR", str(tmp_path / "j"))
-        assert SweepExecutor(jobs=1).journaling
-        monkeypatch.delenv("RCC_JOURNAL_DIR")
-        assert not SweepExecutor(jobs=1).journaling
 
 
 def _count_and_square(pair):

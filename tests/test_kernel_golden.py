@@ -25,7 +25,8 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
-from repro.exec import SimCell, run_cell
+from repro.exec import SimCell
+from tests.conftest import env_run_cell
 from tests.golden.regen_protocol_golden import (PAYLOAD_OUT, STREAM_OUT,
                                                 event_stream)
 
@@ -58,7 +59,7 @@ def test_flat_kernel_bit_identical(key):
     """Named for the retired flat kernel this golden once checked; it
     now pins the only implementation of each protocol."""
     expected = GOLDEN["cells"][key]
-    result = run_cell(cell_for(key))
+    result = env_run_cell(cell_for(key))
     assert result.mem_ops == expected["mem_ops"], \
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \

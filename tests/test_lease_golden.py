@@ -25,7 +25,8 @@ import os
 import pytest
 
 from repro.config import GPUConfig
-from repro.exec import SimCell, run_cell
+from repro.exec import SimCell
+from tests.conftest import env_run_cell
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fixed_policy_golden.json")
@@ -53,7 +54,7 @@ def cell_for(key: str) -> SimCell:
 @pytest.mark.parametrize("key", sorted(GOLDEN["cells"]))
 def test_fixed_policy_bit_identical(key):
     expected = GOLDEN["cells"][key]
-    result = run_cell(cell_for(key))
+    result = env_run_cell(cell_for(key))
     assert result.mem_ops == expected["mem_ops"], \
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \
@@ -72,7 +73,8 @@ def test_explicit_fixed_override_matches_default():
                        workload=base.workload, intensity=base.intensity,
                        seed=base.seed,
                        ts_overrides=(("lease_policy", "fixed"),))
-    assert run_cell(explicit).to_payload() == run_cell(base).to_payload()
+    assert (env_run_cell(explicit).to_payload()
+            == env_run_cell(base).to_payload())
 
 
 def test_golden_grid_shape():

@@ -15,7 +15,7 @@ all registered policies through
 
 Failures are archived as replayable reproducers (``.trace`` for litmus,
 ``.cell`` for hostile runs) in the directory named by the
-``RCC_FUZZ_ARCHIVE`` environment variable (default: a temp directory);
+``REPRO_FUZZ_ARCHIVE`` environment variable (default: a temp directory);
 the assertion message points at them.
 """
 
@@ -43,7 +43,7 @@ PROTOCOLS = ["RCC", "RCC-WO"]
 
 
 def _archive_dir(tmp_path) -> str:
-    path = os.environ.get("RCC_FUZZ_ARCHIVE") or str(tmp_path / "findings")
+    path = os.environ.get("REPRO_FUZZ_ARCHIVE") or str(tmp_path / "findings")
     os.makedirs(path, exist_ok=True)
     return path
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.perf import bench
 from repro.perf.cli import main as perf_main
+from tests.conftest import ENV, env_run_cell
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,8 @@ def quick_report():
 def test_report_structure(quick_report):
     assert quick_report["schema"] == bench.BENCH_SCHEMA
     assert quick_report["mode"] == "quick"
+    assert quick_report["provenance"]["settings"] == {
+        "jobs": 1, "sanitize": ENV.sanitize, "chaos": None}
     assert quick_report["calibration_loops_per_s"] > 0
     assert len(quick_report["cells"]) == len(bench.quick_cells())
     for label, cell in quick_report["cells"].items():
@@ -88,7 +91,7 @@ def test_cli_check_missing_baseline_errors(tmp_path):
 
 def test_events_fired_in_result_payload():
     cell = bench.quick_cells()[0]
-    result = bench._measure(cell)[1]
+    result = bench._measure(cell, env_run_cell)[1]
     payload = result.to_payload()
     assert payload["payload_version"] >= 2
     assert payload["events_fired"] == result.events_fired > 0

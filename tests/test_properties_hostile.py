@@ -25,6 +25,7 @@ from repro.exec.cells import SimCell, canonical_overrides, derive_seed
 from repro.sim.gpusim import run_simulation
 from repro.workloads import get_workload
 from repro.workloads.hostile import REGIMES
+from tests.conftest import env_settings
 
 REGIME_NAMES = sorted(REGIMES)
 
@@ -89,10 +90,10 @@ def test_hostile_draws_complete_under_weak_protocols(draw_seed, protocol):
 def test_serial_parallel_cached_payloads_identical(regime_name, tmp_path):
     cells = [_sampled_cell(regime_name, draw, proto)
              for draw, proto in ((1, "RCC"), (2, "MESI"))]
-    serial = SweepExecutor(jobs=1).run_cells(cells)
-    parallel = SweepExecutor(jobs=2).run_cells(cells)
+    serial = SweepExecutor(env_settings(jobs=1)).run_cells(cells)
+    parallel = SweepExecutor(env_settings(jobs=2)).run_cells(cells)
     cache = ResultCache(str(tmp_path / "cache"))
-    warm_exec = SweepExecutor(jobs=2, cache=cache)
+    warm_exec = SweepExecutor(env_settings(jobs=2), cache=cache)
     warm_exec.run_cells(cells)          # populate
     cached = warm_exec.run_cells(cells)  # replay from disk
     assert warm_exec.last_stats.n_cached == len(cells)

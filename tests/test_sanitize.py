@@ -13,9 +13,7 @@ from repro.fuzz.generator import FuzzKnobs, generate_program
 from repro.gpu.trace import atomic_op, fence_op, load_op, store_op
 from repro.gpu.warp import MemOpRecord
 from repro.sanitize.events import CoherenceEvent, EventKind, TraceRing
-from repro.sanitize.sanitizer import (ENV_SANITIZE, ENV_TRACE_OUT,
-                                      sanitize_enabled_from_env,
-                                      trace_out_from_env)
+from repro.settings import Settings, SettingsError
 from repro.sim.gpusim import GPUSimulator
 from tests.conftest import (ALL_PROTOCOLS, empty_traces, program_traces,
                             run_program)
@@ -53,18 +51,25 @@ class TestHappyPath:
 
 
 class TestEnvToggles:
+    """``RCC_SANITIZE`` / ``RCC_TRACE_OUT`` as parsed into Settings."""
+
     def test_disabled_by_default(self):
-        assert not sanitize_enabled_from_env({})
+        assert not Settings.from_env({}).sanitize
+        assert not Settings().sanitize
 
     def test_truthy_values(self):
         for v in ("1", "true", "YES", "on"):
-            assert sanitize_enabled_from_env({ENV_SANITIZE: v})
+            assert Settings.from_env({"RCC_SANITIZE": v}).sanitize
         for v in ("0", "false", "", "off"):
-            assert not sanitize_enabled_from_env({ENV_SANITIZE: v})
+            assert not Settings.from_env({"RCC_SANITIZE": v}).sanitize
+        with pytest.raises(SettingsError, match="RCC_SANITIZE"):
+            Settings.from_env({"RCC_SANITIZE": "maybe"})
 
     def test_trace_out(self):
-        assert trace_out_from_env({}) is None
-        assert trace_out_from_env({ENV_TRACE_OUT: "t.jsonl"}) == "t.jsonl"
+        assert Settings.from_env({}).trace_out is None
+        assert Settings.from_env({"RCC_TRACE_OUT": ""}).trace_out is None
+        assert Settings.from_env(
+            {"RCC_TRACE_OUT": "t.jsonl"}).trace_out == "t.jsonl"
 
 
 class TestTraceRing:
