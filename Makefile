@@ -6,8 +6,8 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench report report-par clean-cache perf perf-baseline \
-        ablate ablate-smoke chaos chaos-smoke
+        sanitize bench report report-par clean-cache ablate ablate-smoke \
+        chaos chaos-smoke
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -31,12 +31,10 @@ fuzz:            ## a long differential campaign across all protocols
 	    --fence-density 0.2 --p-atomic 0.1
 
 hostile-smoke:   ## bounded hostile-workload knob fuzz (sanitized, ~1 min)
-	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 10 \
-	    --baseline benchmarks/perf_baseline.json
+	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 10
 
 hostile:         ## a deep hostile-lab campaign, archiving any finds
 	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 100 -v \
-	    --baseline benchmarks/perf_baseline.json \
 	    --save-cells tests/corpus
 
 chaos-smoke:     ## chaos/journal unit batteries + fault-injection matrix
@@ -50,14 +48,6 @@ chaos:           ## full battery: every fault kind + resume round-trips
 
 bench:           ## paper figures/tables under pytest-benchmark
 	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only
-
-perf:            ## throughput bench + regression gate vs stored baseline
-	$(PYPATH) $(PY) -m repro.perf.cli --quick \
-	    --baseline benchmarks/perf_baseline.json --check
-
-perf-baseline:   ## refresh the stored perf baseline from this machine
-	$(PYPATH) $(PY) -m repro.perf.cli --quick \
-	    --baseline benchmarks/perf_baseline.json --update-baseline
 
 ablate:          ## lease-policy ablation on the bench machine
 	$(PYPATH) $(PY) -m repro.perf.cli --lease-ablation

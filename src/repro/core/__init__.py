@@ -15,7 +15,6 @@ acquire "write permission" instantly — no invalidations, no lease waits.
 """
 
 from repro.core.timestamps import LogicalClock, timestamp_guard_band
-from repro.core.lease import LeasePredictor
 from repro.core.lease_policy import (
     LeasePolicy,
     available_lease_policies,
@@ -30,7 +29,6 @@ from repro.core.rollover import RolloverManager
 
 __all__ = [
     "LeasePolicy",
-    "LeasePredictor",
     "LogicalClock",
     "available_lease_policies",
     "make_lease_policy",

@@ -1,22 +1,16 @@
-"""Per-block lease prediction (paper §III-E).
+"""Lease boundaries shared by RCC and TC (paper §III-E).
 
 Intuition: read-only (and streaming) data should get long leases so copies
 never expire; frequently-written shared data (locks, work queues) should get
 short leases so a write does not have to advance logical time far past
 everyone's ``now`` (which would expire unrelated L1 blocks).
 
-The paper's predictor: start every block at the **maximum** lease (2048);
-drop to the **minimum** (8) whenever the block is written; **double** every
-time a read lease is successfully renewed. The prediction is stored with the
-L2 line (it is lost on eviction, so blocks that miss in L2 — e.g. streaming
-reads — restart at the maximum, exactly as the paper wants).
+The paper's predictor (max lease on fill, min on a write, double on every
+successful renew, stored with the L2 line) is the ``fixed`` policy of
+:mod:`repro.core.lease_policy`.
 """
 
 from __future__ import annotations
-
-from repro.core.lease_policy import FixedLeasePolicy
-
-_PRED_KEY = "lease_pred"
 
 
 def lease_valid(now: int, exp: int) -> bool:
@@ -35,11 +29,3 @@ def post_lease(exp: int) -> int:
     (RCC rule 3's ``D.exp + 1``; a TCS store's earliest ack time)."""
     return exp + 1
 
-
-class LeasePredictor(FixedLeasePolicy):
-    """Backward-compatible name for the paper's predictor.
-
-    The predictor is now the ``fixed`` strategy of the pluggable
-    lease-policy layer (:mod:`repro.core.lease_policy`); this subclass
-    keeps the historical import path and behaviour (it adds nothing).
-    """

@@ -38,8 +38,8 @@ tuning choice.
 Shipped policies:
 
 * ``fixed`` — the default, byte-identical to the historical
-  :class:`~repro.core.lease.LeasePredictor` (including its
-  ``predictor_enabled`` toggle), pinned by the golden-payload battery;
+  ``LeasePredictor`` (including its ``predictor_enabled`` toggle),
+  pinned by the golden-payload battery;
 * ``adaptive`` — per-block lease sized from the observed logical re-read
   distance, tracked as a decaying integer average in the L2 line's meta
   (lost on eviction, exactly like the paper's per-line prediction);

@@ -13,7 +13,8 @@ Usage::
 
 With ``--workloads`` the fuzzer mutates hostile-workload knobs instead of
 litmus programs, hunting invariant violations and performance cliffs
-against ``benchmarks/perf_baseline.json`` (see :mod:`repro.fuzz.workloads`).
+against five benign cells that every campaign runs beside its hostile
+draws (see :mod:`repro.fuzz.workloads`).
 ``--replay`` accepts both corpus formats: ``*.trace`` litmus programs and
 ``*.cell`` hostile-run reproducers.
 
@@ -44,8 +45,6 @@ from repro.fuzz.differential import (
 from repro.fuzz.generator import FuzzKnobs
 from repro.fuzz.workloads import DEFAULT_PROTOCOLS, run_hostile_campaign
 from repro.settings import Settings, cli_parent, cli_settings
-
-DEFAULT_BASELINE = os.path.join("benchmarks", "perf_baseline.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,22 +109,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", action="store_true",
                    help="fuzz hostile-workload knobs instead of litmus "
                         "programs (sanitizer always on; see --runs, "
-                        "--regimes, --baseline)")
+                        "--regimes, --cliff-ratio)")
     p.add_argument("--runs", type=int, default=10,
                    help="with --workloads: mutation draws, round-robined "
                         "across regimes (default 10)")
     p.add_argument("--regimes", default="all",
                    help="with --workloads: comma-separated hostile regimes "
                         "or 'all' (storm, pingpong, rwext, bursty, thrash)")
-    p.add_argument("--baseline", metavar="FILE", default=DEFAULT_BASELINE,
-                   help="perf baseline for cliff detection (default "
-                        f"{DEFAULT_BASELINE}; 'none' disables)")
     p.add_argument("--cliff-ratio", type=float, default=0.125,
-                   help="throughput cliff: normalized events/s below this "
-                        "fraction of the baseline median (default 0.125)")
+                   help="throughput cliff: events/s below this fraction "
+                        "of the benign cells' median (default 0.125)")
     p.add_argument("--stall-factor", type=float, default=20.0,
                    help="stall cliff: SC stall cycles/op above this "
-                        "multiple of the reference median (default 20)")
+                        "multiple of the benign cells' median (default 20)")
     p.add_argument("--report", metavar="FILE",
                    help="with --workloads: write the full campaign report "
                         "as JSON to FILE")
@@ -214,7 +210,6 @@ def _workloads_main(args, settings: Settings) -> int:
     protocols = (list(DEFAULT_PROTOCOLS) if args.protocols == "all"
                  else [s.strip() for s in args.protocols.split(",")
                        if s.strip()])
-    baseline = None if args.baseline.lower() == "none" else args.baseline
 
     def progress(i, run):
         if args.verbose:
@@ -225,7 +220,7 @@ def _workloads_main(args, settings: Settings) -> int:
 
     result = run_hostile_campaign(
         config_name=args.config, regimes=args.regimes, runs=args.runs,
-        seed=args.seed, protocols=protocols, baseline_path=baseline,
+        seed=args.seed, protocols=protocols,
         cliff_ratio=args.cliff_ratio, stall_factor=args.stall_factor,
         executor=_executor(args, settings), on_run=progress,
         lease_policy=args.lease_policy)

@@ -9,13 +9,19 @@ the existing :class:`~repro.exec.engine.SweepExecutor` with the
 coherence sanitizer armed. The hunt is for two failure classes:
 
 * **invariant violations** — the sanitizer fires mid-simulation; and
-* **performance cliffs** — calibration-normalized simulator throughput
-  (events/s) collapsing below, or SC stall cycles per memory op blowing
-  up above, what ``benchmarks/perf_baseline.json`` says this host
-  sustains on the benign suite.
+* **performance cliffs** — simulator throughput (events/s) collapsing
+  below, or SC stall cycles per memory op blowing up above, the medians
+  of the benign reference.
 
-Both are archived as replayable ``.cell`` reproducers (see
-:mod:`repro.fuzz.cellfile`) suitable for checking into ``tests/corpus/``.
+The benign reference is five ordinary cells (:data:`BENIGN_CELLS`) that
+every campaign runs in the same ``executor.map`` call and through the
+same sanitized worker as its hostile draws. Both sides therefore run on
+one host, in one process tree, under one sanitizer, so their events/s
+compare directly with no calibration and no stored number.
+
+Both failure classes are archived as replayable ``.cell`` reproducers
+(see :mod:`repro.fuzz.cellfile`) suitable for checking into
+``tests/corpus/``.
 
 Cliff thresholds are deliberately loose (default 8x down on throughput,
 20x up on stalls vs the benign median): hostile workloads are *supposed*
@@ -25,7 +31,6 @@ to be slower — the lab flags collapse, not degradation.
 from __future__ import annotations
 
 import functools
-import json
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -36,7 +41,6 @@ from repro.errors import InvariantViolation, ReproError
 from repro.exec.cells import SimCell, canonical_overrides, derive_seed, \
     run_cell
 from repro.exec.engine import SweepExecutor
-from repro.perf.bench import calibrate
 from repro.settings import Settings
 from repro.workloads.hostile import HostileRegime, select_regimes
 
@@ -45,6 +49,14 @@ CAMPAIGN_SCHEMA = 1
 #: Protocols a campaign sweeps by default: every timing protocol family
 #: (SC-IDEAL is excluded — an idealized machine has no cliffs to find).
 DEFAULT_PROTOCOLS = ("MESI", "TCS", "TCW", "RCC", "RCC-WO")
+
+#: The benign reference: one Table IV cell per timing protocol family
+#: (both timestamp designs), run on the small machine at the harness
+#: intensity 0.25 and seed 1234 whatever the campaign's own config.
+BENIGN_CELLS = tuple(
+    SimCell(cfg=GPUConfig.small(), protocol=p, workload=w)
+    for p, w in (("MESI", "bfs"), ("TCS", "dlb"), ("TCW", "lud"),
+                 ("RCC", "bfs"), ("RCC-WO", "stn")))
 
 #: Intensity ladder mutation draws cycle through; hostile behavior often
 #: only shows at scale, but every run must stay unit-test sized.
@@ -132,23 +144,38 @@ class HostileCampaignResult:
 
     config_name: str
     runs: List[HostileRun]
-    calibration: float
-    baseline_path: Optional[str]
-    baseline_norm_median: Optional[float]
-    baseline_stall_median: Optional[float]
+    #: The benign cells, run beside the hostile draws; cliffs are judged
+    #: against their medians.
+    reference: List[HostileRun]
     cliff_ratio: float
     stall_factor: float
     #: False when the campaign ran parallel and wall-clock throughput
     #: was therefore not judged (stall cliffs were still checked).
     throughput_judged: bool = True
 
+    def _reference_median(self, metric: Callable[[HostileRun], float]
+                          ) -> Optional[float]:
+        values = [metric(r) for r in self.reference if r.ok]
+        return statistics.median(values) if values else None
+
+    @property
+    def reference_events_per_s(self) -> Optional[float]:
+        return self._reference_median(lambda r: r.record["events_per_s"])
+
+    @property
+    def reference_stall_per_op(self) -> Optional[float]:
+        median = self._reference_median(lambda r: r.stall_per_op)
+        return None if median is None else round(median, 3)
+
     @property
     def violations(self) -> List[HostileRun]:
-        return [r for r in self.runs if r.status == "violation"]
+        return [r for r in self.reference + self.runs
+                if r.status == "violation"]
 
     @property
     def errors(self) -> List[HostileRun]:
-        return [r for r in self.runs if r.status == "error"]
+        return [r for r in self.reference + self.runs
+                if r.status == "error"]
 
     @property
     def cliff_runs(self) -> List[HostileRun]:
@@ -156,8 +183,9 @@ class HostileCampaignResult:
 
     @property
     def passed(self) -> bool:
-        """Violations and simulator errors fail a campaign; cliffs are
-        report-only unless the caller opts in (``--fail-on-cliff``)."""
+        """Violations and simulator errors, benign cells' included, fail
+        a campaign; cliffs are report-only unless the caller opts in
+        (``--fail-on-cliff``)."""
         return not self.violations and not self.errors
 
     def to_json(self) -> Dict[str, Any]:
@@ -165,11 +193,10 @@ class HostileCampaignResult:
             "schema": CAMPAIGN_SCHEMA,
             "kind": "hostile-campaign",
             "config": self.config_name,
-            "calibration_loops_per_s": round(self.calibration, 1),
-            "baseline": {
-                "path": self.baseline_path,
-                "events_per_s_normalized_median": self.baseline_norm_median,
-                "stall_cycles_per_op_median": self.baseline_stall_median,
+            "reference": {
+                "cells": {r.cell.label: r.record for r in self.reference},
+                "events_per_s_median": self.reference_events_per_s,
+                "stall_cycles_per_op_median": self.reference_stall_per_op,
                 "cliff_ratio": self.cliff_ratio,
                 "stall_factor": self.stall_factor,
                 "throughput_judged": self.throughput_judged,
@@ -198,17 +225,14 @@ class HostileCampaignResult:
             lines.append("  note: parallel campaign — wall-clock "
                          "throughput not judged (rerun with --jobs 1 "
                          "for cliff detection); stall cliffs checked")
-        if self.baseline_norm_median is not None:
+        eps, stall = self.reference_events_per_s, self.reference_stall_per_op
+        if eps is not None:
             lines.append(
-                f"  baseline: normalized events/s median "
-                f"{self.baseline_norm_median:.6f} (cliff below "
-                f"{self.cliff_ratio:g}x), stall/op median "
-                f"{self.baseline_stall_median if self.baseline_stall_median is not None else 0:.3f}"
-                f" (cliff above {self.stall_factor:g}x)")
-        else:
-            lines.append("  baseline: none loaded; stall cliffs judged "
-                         "against the campaign's own per-protocol medians")
-        for r in self.runs:
+                f"  reference: {len(self.reference)} benign cells, "
+                f"events/s median {eps:.0f} (cliff below "
+                f"{self.cliff_ratio:g}x), stall/op median {stall:.3f} "
+                f"(cliff above {self.stall_factor:g}x)")
+        for r in self.reference + self.runs:
             if r.status != "ok":
                 lines.append(f"  {r.status.upper()} {r.regime} "
                              f"{r.cell.label} seed={r.cell.seed}: "
@@ -219,30 +243,6 @@ class HostileCampaignResult:
             for reason in r.cliffs:
                 lines.append(f"    {reason}")
         return "\n".join(lines)
-
-
-def load_baseline(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-def _baseline_medians(baseline: Optional[Dict[str, Any]]
-                      ) -> Tuple[Optional[float], Optional[float]]:
-    """(normalized events/s median, stall-cycles-per-op median) from a
-    perf baseline report; each is ``None`` if the field set is absent
-    (pre-stall-field baselines lack the second)."""
-    if not baseline:
-        return None, None
-    cells = baseline.get("cells", {})
-    norms = [c["events_per_s_normalized"] for c in cells.values()
-             if c.get("events_per_s_normalized")]
-    stalls = [c["stall_cycles_per_op"] for c in cells.values()
-              if "stall_cycles_per_op" in c]
-    return (statistics.median(norms) if norms else None,
-            statistics.median(stalls) if stalls else None)
 
 
 def plan_cells(regimes: Sequence[HostileRegime], runs: int, seed: int,
@@ -286,51 +286,31 @@ def plan_cells(regimes: Sequence[HostileRegime], runs: int, seed: int,
     return planned
 
 
-def _attach_cliffs(result: HostileCampaignResult,
-                   trust_wall_clock: bool = True) -> None:
-    """Mark throughput/stall cliffs on each ok run, in place.
+def _attach_cliffs(result: HostileCampaignResult) -> None:
+    """Mark throughput/stall cliffs on each ok hostile run, in place.
 
-    With ``trust_wall_clock=False`` (a parallel campaign: workers share
-    the CPU while calibration ran alone, deflating measured events/s by
-    roughly the jobs count) throughput cliffs are skipped entirely —
-    stall cliffs still apply, being deterministic simulated-machine
-    quantities that no host-load skew can touch.
+    A parallel campaign (``throughput_judged`` false) skips throughput
+    cliffs: its workers share the CPU, so one cell's events/s depends on
+    what ran beside it. Stall cliffs still apply, being deterministic
+    simulated-machine quantities that no host load can touch.
     """
-    norm_med = result.baseline_norm_median if trust_wall_clock else None
-    stall_med = result.baseline_stall_median
-    ok_runs = [r for r in result.runs if r.ok]
-    if stall_med is None and ok_runs:
-        # Grid-median fallback: without baseline stall data, judge each
-        # run against its own protocol's median across the campaign (a
-        # cliff is then a knob point far outside its protocol's norm).
-        per_proto: Dict[str, List[float]] = {}
-        for r in ok_runs:
-            per_proto.setdefault(r.cell.protocol, []).append(r.stall_per_op)
-        proto_medians = {p: statistics.median(v)
-                         for p, v in per_proto.items()}
-    else:
-        proto_medians = {}
-    for r in ok_runs:
-        wall = r.record.get("wall_s") or 0.0
-        events = r.record.get("events") or 0
-        norm = (events / wall / result.calibration) if wall > 0 else 0.0
-        r.record["events_per_s_normalized"] = round(norm, 6)
-        if norm_med is not None and norm > 0:
-            floor = norm_med * result.cliff_ratio
-            if norm < floor:
-                r.cliffs.append(
-                    f"throughput cliff: normalized events/s {norm:.6f} is "
-                    f"{norm_med / norm:.1f}x below the benign-suite median "
-                    f"{norm_med:.6f} (threshold {result.cliff_ratio:g}x)")
-        ref_stall = stall_med if stall_med is not None \
-            else proto_medians.get(r.cell.protocol)
-        if ref_stall is not None and ref_stall > 0:
-            ceiling = ref_stall * result.stall_factor
-            if r.stall_per_op > ceiling:
-                r.cliffs.append(
-                    f"stall cliff: {r.stall_per_op:.1f} SC stall cycles "
-                    f"per op vs reference median {ref_stall:.2f} "
-                    f"(threshold {result.stall_factor:g}x)")
+    eps_med = result.reference_events_per_s \
+        if result.throughput_judged else None
+    stall_med = result.reference_stall_per_op
+    for r in result.runs:
+        if not r.ok:
+            continue
+        eps = r.record.get("events_per_s") or 0.0
+        if eps_med is not None and 0 < eps < eps_med * result.cliff_ratio:
+            r.cliffs.append(
+                f"throughput cliff: {eps:.0f} events/s is "
+                f"{eps_med / eps:.1f}x below the benign median "
+                f"{eps_med:.0f} (threshold {result.cliff_ratio:g}x)")
+        if stall_med and r.stall_per_op > stall_med * result.stall_factor:
+            r.cliffs.append(
+                f"stall cliff: {r.stall_per_op:.1f} SC stall cycles "
+                f"per op vs reference median {stall_med:.2f} "
+                f"(threshold {result.stall_factor:g}x)")
 
 
 def run_hostile_campaign(
@@ -339,54 +319,50 @@ def run_hostile_campaign(
         runs: int = 10,
         seed: int = 0,
         protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-        baseline_path: Optional[str] = None,
         cliff_ratio: float = 1 / 8,
         stall_factor: float = 20.0,
         executor: Optional[SweepExecutor] = None,
-        calibration: Optional[float] = None,
         on_run: Optional[Callable[[int, "HostileRun"], None]] = None,
         lease_policy: Optional[str] = None,
 ) -> HostileCampaignResult:
     """Run one workload-knob fuzz campaign; see the module docstring.
 
-    Every hostile run executes with invariant checking on, whatever the
-    executor's settings; the default executor takes the environment's
-    settings but runs serially, so throughput cliffs can be judged.
-    ``lease_policy`` pins one policy on every run (otherwise each draw
-    samples a policy from the regime's ``ts_choices``).
+    The benign reference cells run first, then the hostile draws, in one
+    ``executor.map`` call. Every cell executes with invariant checking
+    on, whatever the executor's settings; the default executor takes the
+    environment's settings but runs serially, so throughput cliffs can be
+    judged. ``lease_policy`` pins one policy on every hostile draw
+    (otherwise each draw samples a policy from the regime's
+    ``ts_choices``).
     """
     regime_list = select_regimes(regimes)
     cfg = named_config(config_name)
     ts_pins = {"lease_policy": lease_policy} if lease_policy else None
     planned = plan_cells(regime_list, runs, seed, cfg, protocols, ts_pins)
     executor = executor or SweepExecutor(replace(Settings.from_env(), jobs=1))
-    if calibration is None:
-        calibration = calibrate()
 
     records = executor.map(
         functools.partial(_execute_hostile, run=executor.run_cell),
-        [cell for _, cell in planned],
-        labels=[f"{reg.name}:{cell.label}" for reg, cell in planned],
+        list(BENIGN_CELLS) + [cell for _, cell in planned],
+        labels=[f"benign:{cell.label}" for cell in BENIGN_CELLS]
+        + [f"{reg.name}:{cell.label}" for reg, cell in planned],
         meta={"campaign": "hostile-workloads", "config": config_name,
               "regimes": regimes, "runs": runs, "seed": seed,
               "protocols": list(protocols),
               "lease_policy": lease_policy})
 
-    hostile_runs = [
-        HostileRun(regime=reg.name, cell=cell, config_name=config_name,
-                   record=record)
-        for (reg, cell), record in zip(planned, records)
-    ]
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    norm_med, stall_med = _baseline_medians(baseline)
+    n_ref = len(BENIGN_CELLS)
     result = HostileCampaignResult(
-        config_name=config_name, runs=hostile_runs,
-        calibration=calibration,
-        baseline_path=baseline_path if baseline else None,
-        baseline_norm_median=norm_med, baseline_stall_median=stall_med,
+        config_name=config_name,
+        runs=[HostileRun(regime=reg.name, cell=cell,
+                         config_name=config_name, record=record)
+              for (reg, cell), record in zip(planned, records[n_ref:])],
+        reference=[HostileRun(regime="benign", cell=cell,
+                              config_name="small", record=record)
+                   for cell, record in zip(BENIGN_CELLS, records)],
         cliff_ratio=cliff_ratio, stall_factor=stall_factor,
         throughput_judged=executor.settings.jobs <= 1)
-    _attach_cliffs(result, trust_wall_clock=result.throughput_judged)
+    _attach_cliffs(result)
     if on_run:
         for i, r in enumerate(result.runs):
             on_run(i, r)

@@ -1,22 +1,7 @@
-"""Performance benchmark harness and regression gate.
+"""The lease-policy ablation lab behind ``repro-perf --lease-ablation``
+(:mod:`repro.perf.bench`, :mod:`repro.perf.cli`).
 
-``repro-perf`` measures simulator throughput (events/sec, cycles/sec,
-wall-clock) on a fixed set of representative sweep cells, writes the
-measurements to a ``BENCH_<date>.json`` report, and can check them
-against a stored baseline with a tolerance band — the CI perf-smoke
-gate that keeps the fast-path event queue fast.
+It runs every registered lease policy on RCC and RCC-WO and writes an
+``ABLATION_<date>.json`` report. Timing the simulator is
+``bench/run.py``'s job, with ``bench/ab.py`` for A/B comparisons.
 """
-
-from repro.perf.bench import (
-    BENCH_SCHEMA, calibrate, compare_to_baseline, quick_cells, full_cells,
-    run_bench,
-)
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "calibrate",
-    "compare_to_baseline",
-    "quick_cells",
-    "full_cells",
-    "run_bench",
-]

@@ -1,14 +1,10 @@
-"""Benchmark definitions and the baseline comparison policy.
+"""The lease-policy ablation behind ``repro-perf --lease-ablation``.
 
-Throughput is measured per cell as engine events fired per wall-clock
-second. Absolute events/sec varies across machines, so every report also
-carries a *calibration score* — the throughput of a fixed pure-Python
-loop on the same interpreter — and regression checks compare
-calibration-normalized throughput. That makes a stored baseline
-meaningful on a different host as long as the tolerance band is wide
-enough to absorb residual machine skew (the CI gate runs baseline and
-candidate on the same runner class, where the band mostly absorbs
-scheduler noise).
+Every registered lease policy runs on both RCC variants over three
+workloads; the report records renew traffic, expired loads, SC stall
+cycles per memory op and wall-clock events/s per cell, stamped with
+:func:`provenance`. Timing the simulator itself is ``bench/run.py``'s
+job (and ``bench/ab.py`` for A/B runs).
 """
 
 from __future__ import annotations
@@ -19,22 +15,20 @@ import os
 import platform
 import subprocess
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import SimCell, SweepExecutor, run_cell
 from repro.settings import Settings
 
-BENCH_SCHEMA = 4
-
-ABLATION_SCHEMA = 4
+ABLATION_SCHEMA = 5
 
 
 def provenance(settings: Settings) -> Dict[str, Any]:
     """Where a report's numbers came from: git revision, the interpreter,
     and the settings that shape how cells ran. Stamped into every
-    BENCH_*/ABLATION_* report so a committed artifact is self-describing.
+    ABLATION_* report so a committed artifact is self-describing.
     Paths stay out, so two runs in different directories report alike."""
     here = os.path.dirname(os.path.abspath(__file__))
     sha = "unknown"
@@ -67,161 +61,6 @@ def provenance(settings: Settings) -> Dict[str, Any]:
 _ABLATION_PROTOCOLS = ("RCC", "RCC-WO")
 _ABLATION_WORKLOADS = ("bfs", "stn", "dlb")
 
-#: Cells for ``--quick`` mode (CI smoke): the small machine keeps each
-#: cell under a second while still exercising all four protocol families
-#: and both timestamp designs (logical RCC, physical TC).
-_QUICK = [
-    ("MESI", "bfs"),
-    ("TCS", "dlb"),
-    ("TCW", "lud"),
-    ("RCC", "bfs"),
-    ("RCC-WO", "stn"),
-]
-
-#: Cells for full mode: the paper's bench machine on the workloads that
-#: dominate the Fig. 9 sweep's runtime, including the lease-pressure
-#: cases (TCS/TCW on bfs) that stress the L2 retry path.
-_FULL = [
-    ("MESI", "bfs"),
-    ("TCS", "bfs"),
-    ("TCW", "bfs"),
-    ("RCC", "bfs"),
-    ("RCC-WO", "stn"),
-    ("MESI", "kmn"),
-    ("TCW", "lud"),
-    ("RCC", "sr"),
-]
-
-
-def quick_cells() -> List[SimCell]:
-    cfg = GPUConfig.small()
-    return [SimCell(cfg=cfg, protocol=p, workload=w) for p, w in _QUICK]
-
-
-def full_cells() -> List[SimCell]:
-    cfg = GPUConfig.bench()
-    return [SimCell(cfg=cfg, protocol=p, workload=w) for p, w in _FULL]
-
-
-def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
-    """Machine-speed score: iterations/sec of a fixed arithmetic loop.
-
-    Best-of-N wall time so that a context switch mid-repeat cannot
-    deflate the score (which would *inflate* normalized throughput).
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(iters):
-            acc += i * i
-        best = min(best, time.perf_counter() - t0)
-    return iters / best
-
-
-def _measure(cell: SimCell, run: Callable[..., Any] = run_cell
-             ) -> Tuple[Dict[str, Any], Any]:
-    t0 = time.perf_counter()
-    result = run(cell)
-    wall = time.perf_counter() - t0
-    fired = getattr(result, "events_fired", 0) or 0
-    cycles = getattr(result, "cycles", 0) or 0
-    mem_ops = getattr(result, "mem_ops", 0) or 0
-    stall = getattr(result, "sc_stall_cycles", 0) or 0
-    return (
-        {
-            "wall_s": round(wall, 6),
-            "events": fired,
-            "cycles": cycles,
-            "events_per_s": round(fired / wall, 1) if wall > 0 else 0.0,
-            "cycles_per_s": round(cycles / wall, 1) if wall > 0 else 0.0,
-            # Simulated-machine stall pressure: deterministic per cell,
-            # the reference the hostile lab's stall-cliff check is
-            # priced against.
-            "sc_stall_cycles": stall,
-            "stall_cycles_per_op": round(stall / mem_ops, 3)
-            if mem_ops else 0.0,
-        },
-        result,
-    )
-
-
-def profile_cell(cell: SimCell, top_n: int = 15,
-                 run: Callable[..., Any] = run_cell) -> List[Dict[str, Any]]:
-    """Re-run one cell under cProfile; top-``top_n`` functions by
-    cumulative time. Run separately from :func:`_measure` so profiler
-    overhead never contaminates the reported throughput."""
-    import cProfile
-    import pstats
-
-    prof = cProfile.Profile()
-    prof.enable()
-    run(cell)
-    prof.disable()
-    stats = pstats.Stats(prof)
-    rows: List[Dict[str, Any]] = []
-    ranked = sorted(stats.stats.items(),  # type: ignore[attr-defined]
-                    key=lambda kv: kv[1][3], reverse=True)
-    for (filename, line, name), (_cc, nc, tt, ct, _callers) in ranked:
-        if name in ("<built-in method builtins.exec>", "profile_cell"):
-            continue  # harness frames above the cell run
-        where = (name if filename.startswith("<") and line == 0
-                 else f"{os.path.basename(filename)}:{line}:{name}")
-        rows.append({
-            "func": where,
-            "ncalls": nc,
-            "tottime_s": round(tt, 4),
-            "cumtime_s": round(ct, 4),
-        })
-        if len(rows) >= top_n:
-            break
-    return rows
-
-
-def run_bench(quick: bool = False, profile_top: int = 0,
-              executor: Optional[SweepExecutor] = None) -> Dict[str, Any]:
-    """Run the benchmark suite; returns the report dict.
-
-    Cells run one at a time, in this process, through ``executor.run_cell``
-    (default: the environment's settings), so the report records jobs 1
-    and no chaos.
-
-    With ``profile_top`` > 0, every cell is re-run under cProfile after
-    its timing run and the report gains a per-cell ``profile`` block with
-    the top-N functions by cumulative time (the timing numbers stay
-    profiler-free).
-    """
-    cells = quick_cells() if quick else full_cells()
-    executor = executor or SweepExecutor()
-    calibration = calibrate()
-    report: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "mode": "quick" if quick else "full",
-        "provenance": provenance(dataclasses.replace(
-            executor.settings, jobs=1, chaos=None)),
-        "calibration_loops_per_s": round(calibration, 1),
-        "cells": {},
-    }
-    total_wall = 0.0
-    total_events = 0
-    for cell in cells:
-        entry, _ = _measure(cell, executor.run_cell)
-        entry["events_per_s_normalized"] = round(
-            entry["events_per_s"] / calibration, 6)
-        if profile_top > 0:
-            entry["profile"] = profile_cell(cell, profile_top,
-                                            executor.run_cell)
-        report["cells"][cell.label] = entry
-        total_wall += entry["wall_s"]
-        total_events += entry["events"]
-    report["totals"] = {
-        "wall_s": round(total_wall, 6),
-        "events": total_events,
-        "events_per_s": round(total_events / total_wall, 1)
-        if total_wall > 0 else 0.0,
-    }
-    return report
-
 
 def ablation_cells(quick: bool = False,
                    policies: Optional[List[str]] = None,
@@ -246,8 +85,7 @@ def ablation_cells(quick: bool = False,
 def _ablation_worker(cell: SimCell, run: Callable[..., Any] = run_cell
                      ) -> Dict[str, Any]:
     """Worker: run one ablation cell with ``run`` and report its metrics
-    (module level so the sweep executor can ship it to worker processes;
-    the calibration-normalized throughput is attached in the parent)."""
+    (module level so the sweep executor can ship it to worker processes)."""
     t0 = time.perf_counter()
     result = run(cell)
     wall = time.perf_counter() - t0
@@ -299,13 +137,11 @@ def run_lease_ablation(quick: bool = False,
     if intensity is not None:
         cells = [dataclasses.replace(c, intensity=intensity) for c in cells]
     executor = executor or SweepExecutor()
-    calibration = calibrate()
     report: Dict[str, Any] = {
         "schema": ABLATION_SCHEMA,
         "kind": "lease-ablation",
         "mode": "quick" if quick else "full",
         "provenance": provenance(executor.settings),
-        "calibration_loops_per_s": round(calibration, 1),
         "policies": {},
     }
     labels = [f"{c.lease_policy}/{c.protocol}/{c.workload}" for c in cells]
@@ -317,9 +153,6 @@ def run_lease_ablation(quick: bool = False,
               "policies": list(policies or []),
               "workloads": list(workloads or [])})
     for cell, entry in zip(cells, entries):
-        wall = entry["wall_s"]
-        entry["events_per_s_normalized"] = round(
-            entry["events"] / wall / calibration, 6) if wall > 0 else 0.0
         label = f"{cell.protocol}/{cell.workload}"
         report["policies"].setdefault(cell.lease_policy, {})[label] = entry
     return report
@@ -328,8 +161,7 @@ def run_lease_ablation(quick: bool = False,
 def render_ablation(report: Dict[str, Any]) -> str:
     """Fixed-width table of the ablation report, one row per cell."""
     lines = [
-        f"lease-policy ablation ({report['mode']} mode, calibration "
-        f"{report['calibration_loops_per_s'] / 1e6:.2f}M loops/s)",
+        f"lease-policy ablation ({report['mode']} mode)",
         f"  {'policy':<10} {'cell':<12} {'cycles':>10} {'renew/kop':>10} "
         f"{'expired':>8} {'stall/op':>9} {'ev/s':>9}",
     ]
@@ -341,46 +173,3 @@ def render_ablation(report: Dict[str, Any]) -> str:
                 f"{e['stall_cycles_per_op']:>9.3f} "
                 f"{e['events_per_s'] / 1e3:>8.1f}k")
     return "\n".join(lines)
-
-
-def compare_to_baseline(current: Dict[str, Any], baseline: Dict[str, Any],
-                        tolerance: float = 0.20) -> List[str]:
-    """Regression check; returns failure messages (empty = pass).
-
-    A cell fails when its calibration-normalized events/sec drops more
-    than ``tolerance`` below the baseline's. Cells present only on one
-    side are reported but do not fail the gate (the cell set may evolve);
-    a baseline from a different mode does fail loudly.
-    """
-    failures: List[str] = []
-    if baseline.get("mode") != current.get("mode"):
-        return [
-            f"baseline mode {baseline.get('mode')!r} does not match "
-            f"current mode {current.get('mode')!r}; regenerate the "
-            "baseline with --update-baseline"
-        ]
-    base_cells = baseline.get("cells", {})
-    cur_cells = current.get("cells", {})
-    for label, base in base_cells.items():
-        cur = cur_cells.get(label)
-        if cur is None:
-            continue
-        base_norm = base.get("events_per_s_normalized", 0.0)
-        cur_norm = cur.get("events_per_s_normalized", 0.0)
-        if base_norm <= 0:
-            continue
-        floor = base_norm * (1.0 - tolerance)
-        if cur_norm < floor:
-            failures.append(
-                f"{label}: normalized throughput {cur_norm:.6f} is "
-                f"{(1 - cur_norm / base_norm) * 100:.1f}% below baseline "
-                f"{base_norm:.6f} (tolerance {tolerance * 100:.0f}%)"
-            )
-        if base.get("events") and cur.get("events") \
-                and base["events"] != cur["events"]:
-            failures.append(
-                f"{label}: event count changed {base['events']} -> "
-                f"{cur['events']} — simulation behavior drifted, not just "
-                "speed; update the baseline deliberately if intended"
-            )
-    return failures

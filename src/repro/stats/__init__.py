@@ -1,8 +1,6 @@
-"""Measurement utilities: histograms, time-series samplers, and run
-comparison helpers used by the harness and available to downstream users."""
+"""Measurement utilities: the log2-bucketed latency histogram every
+result carries."""
 
 from repro.stats.histogram import Histogram
-from repro.stats.timeseries import TimeSeries
-from repro.stats.compare import compare_runs, speedup_table
 
-__all__ = ["Histogram", "TimeSeries", "compare_runs", "speedup_table"]
+__all__ = ["Histogram"]

@@ -12,7 +12,8 @@ analysis names the extremes):
 
 ``repro-fuzz --workloads`` mutates these generators' knobs through the
 sweep executor under the sanitizer, hunting performance cliffs against
-``benchmarks/perf_baseline.json``.
+five benign cells that each campaign runs beside its draws
+(:data:`repro.fuzz.workloads.BENIGN_CELLS`).
 """
 
 from repro.workloads.hostile.base import (

@@ -15,8 +15,9 @@ from repro.fuzz.cellfile import (
     CELL_SCHEMA, cell_files, load_cell, replay_cell, save_cell,
 )
 from repro.fuzz.workloads import (
-    DEFAULT_PROTOCOLS, _INTENSITIES, HostileCampaignResult, HostileRun,
-    _attach_cliffs, _execute_hostile, plan_cells, run_hostile_campaign,
+    BENIGN_CELLS, DEFAULT_PROTOCOLS, _INTENSITIES, HostileCampaignResult,
+    HostileRun, _attach_cliffs, _execute_hostile, plan_cells,
+    run_hostile_campaign,
 )
 from repro.workloads import REGIMES, get_workload
 from repro.workloads.hostile import select_regimes
@@ -96,16 +97,18 @@ class TestExecuteHostile:
 # ----------------------------------------------------------------------
 # Cliff detection
 # ----------------------------------------------------------------------
-def _result(records, norm_med=None, stall_med=None, calibration=1.0,
-            cliff_ratio=0.125, stall_factor=20.0):
-    runs = [HostileRun(regime="storm", cell=_tiny_cell(protocol=proto),
-                       config_name="small", record=rec)
-            for proto, rec in records]
+def _result(records, reference=(), throughput_judged=True):
+    """A campaign result: hostile ``records`` as (protocol, record)
+    pairs, judged against benign ``reference`` records."""
+    def run(regime, protocol, record):
+        return HostileRun(regime=regime, cell=_tiny_cell(protocol=protocol),
+                          config_name="small", record=record)
     return HostileCampaignResult(
-        config_name="small", runs=runs, calibration=calibration,
-        baseline_path="x.json" if norm_med is not None else None,
-        baseline_norm_median=norm_med, baseline_stall_median=stall_med,
-        cliff_ratio=cliff_ratio, stall_factor=stall_factor)
+        config_name="small",
+        runs=[run("storm", proto, rec) for proto, rec in records],
+        reference=[run("benign", "RCC", rec) for rec in reference],
+        cliff_ratio=0.125, stall_factor=20.0,
+        throughput_judged=throughput_judged)
 
 
 def _ok(events=1000, wall=1.0, stalls=0, ops=100):
@@ -116,42 +119,44 @@ def _ok(events=1000, wall=1.0, stalls=0, ops=100):
 
 class TestAttachCliffs:
     def test_throughput_cliff_below_ratio(self):
-        res = _result([("RCC", _ok(events=1000, wall=1.0))], norm_med=100.0)
-        _attach_cliffs(res)  # norm = 1000/1/1.0 = 1000 -> fine
+        benign = [_ok(events=100, wall=1.0)]  # median 100 events/s
+        res = _result([("RCC", _ok(events=1000, wall=1.0))], benign)
+        _attach_cliffs(res)  # 1000 events/s -> fine
         assert not res.runs[0].cliffs
-        res = _result([("RCC", _ok(events=10, wall=1.0))], norm_med=100.0)
-        _attach_cliffs(res)  # norm = 10 < 0.125 * 100
+        res = _result([("RCC", _ok(events=10, wall=1.0))], benign)
+        _attach_cliffs(res)  # 10 events/s < 0.125 * 100
         assert any("throughput cliff" in c for c in res.runs[0].cliffs)
 
     def test_parallel_campaign_skips_throughput(self):
-        res = _result([("RCC", _ok(events=10, wall=1.0))], norm_med=100.0)
-        _attach_cliffs(res, trust_wall_clock=False)
+        res = _result([("RCC", _ok(events=10, wall=1.0))],
+                      [_ok(events=100, wall=1.0)], throughput_judged=False)
+        _attach_cliffs(res)
         assert not any("throughput" in c for c in res.runs[0].cliffs)
 
     def test_stall_cliff_above_factor(self):
-        res = _result([("RCC", _ok(stalls=100, ops=100))], stall_med=2.0)
+        benign = [_ok(stalls=200, ops=100)]  # median 2.0 stall/op
+        res = _result([("RCC", _ok(stalls=100, ops=100))], benign)
         _attach_cliffs(res)  # 1.0 stall/op vs ceiling 40 -> fine
         assert not res.runs[0].cliffs
-        res = _result([("RCC", _ok(stalls=100 * 100, ops=100))],
-                      stall_med=2.0)
+        res = _result([("RCC", _ok(stalls=100 * 100, ops=100))], benign)
         _attach_cliffs(res)  # 100 stall/op > 20 * 2.0
         assert any("stall cliff" in c for c in res.runs[0].cliffs)
 
-    def test_grid_median_fallback_without_baseline(self):
-        # Without baseline stall data, each run is judged against its own
-        # protocol's campaign median; one far outlier gets flagged.
-        records = [("RCC", _ok(stalls=100, ops=100)) for _ in range(4)]
-        records.append(("RCC", _ok(stalls=100 * 100, ops=100)))
-        res = _result(records)
-        _attach_cliffs(res)
-        flagged = [r for r in res.runs if r.cliffs]
-        assert len(flagged) == 1
-        assert flagged[0].stall_per_op == 100.0
+    def test_reference_medians_skip_failed_benign_cells(self):
+        failed = {"status": "error", "wall_s": 0.1, "message": "boom"}
+        res = _result([], [_ok(events=100, stalls=100), failed,
+                           _ok(events=300, stalls=300)])
+        assert res.reference_events_per_s == 200.0
+        assert res.reference_stall_per_op == 2.0
+        assert not _result([]).reference_events_per_s
 
-    def test_normalized_throughput_recorded_on_every_ok_run(self):
-        res = _result([("RCC", _ok(events=500, wall=0.5))], calibration=2.0)
-        _attach_cliffs(res)
-        assert res.runs[0].record["events_per_s_normalized"] == 500.0
+    def test_failed_benign_cell_fails_the_campaign(self):
+        failed = {"status": "violation", "wall_s": 0.1,
+                  "message": "InvariantViolation: boom"}
+        res = _result([("RCC", _ok())], [_ok(), failed])
+        assert res.violations == [res.reference[1]]
+        assert not res.passed
+        assert "VIOLATION benign" in res.render()
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +168,6 @@ class TestCampaign:
         seen = []
         result = run_hostile_campaign(
             config_name="small", regimes="all", runs=5, seed=0,
-            calibration=1.0, baseline_path=None,
             on_run=lambda i, r: seen.append((i, r.regime)))
         assert result.passed
         assert len(result.runs) == 5
@@ -175,8 +179,7 @@ class TestCampaign:
 
     def test_campaign_report_round_trips_as_json(self, tmp_path):
         result = run_hostile_campaign(
-            config_name="small", regimes="storm", runs=1, seed=0,
-            calibration=1.0, baseline_path=None)
+            config_name="small", regimes="storm", runs=1, seed=0)
         doc = json.loads(json.dumps(result.to_json()))
         assert doc["kind"] == "hostile-campaign"
         assert doc["totals"] == {"runs": 1, "violations": 0, "errors": 0,
@@ -184,12 +187,37 @@ class TestCampaign:
         assert doc["runs"][0]["regime"] == "storm"
         assert "hostile campaign" in result.render()
 
-    def test_missing_baseline_is_tolerated(self):
-        result = run_hostile_campaign(
-            config_name="small", regimes="thrash", runs=1, seed=0,
-            calibration=1.0, baseline_path="/nonexistent/baseline.json")
-        assert result.baseline_path is None
-        assert result.baseline_norm_median is None
+
+class TestBenignReference:
+    #: (events, cycles, SC stall cycles) of each benign cell. Sanitizing
+    #: changes none of them, so a drift here is a simulator change.
+    PINS = {
+        "MESI/bfs": (5960, 10648, 152133),
+        "TCS/dlb": (2522, 5340, 58787),
+        "TCW/lud": (1315, 1372, 10171),
+        "RCC/bfs": (4774, 9976, 140345),
+        "RCC-WO/stn": (3523, 4778, 5980),
+    }
+
+    def test_cells(self):
+        assert {c.protocol for c in BENIGN_CELLS} == set(DEFAULT_PROTOCOLS)
+        for cell in BENIGN_CELLS:
+            assert cell.cfg == CFG
+            assert (cell.intensity, cell.seed) == (0.25, 1234)
+
+    def test_counts_pinned_and_stall_reference(self):
+        result = run_hostile_campaign(config_name="small", regimes="storm",
+                                      runs=0, seed=0)
+        assert result.passed and result.runs == []
+        counts = {r.cell.label: (r.record["events"], r.record["cycles"],
+                                 r.record["sc_stall_cycles"])
+                  for r in result.reference}
+        assert counts == self.PINS
+        # The median is TCS/dlb's 58787 stall cycles over 400 ops.
+        assert result.reference_stall_per_op == 146.968
+        doc = result.to_json()["reference"]
+        assert doc["stall_cycles_per_op_median"] == 146.968
+        assert set(doc["cells"]) == set(self.PINS)
 
 
 # ----------------------------------------------------------------------
@@ -268,9 +296,8 @@ def test_corpus_has_the_fuzz_found_reproducers():
 # ----------------------------------------------------------------------
 def _fake_result(runs):
     return HostileCampaignResult(
-        config_name="small", runs=runs, calibration=1.0,
-        baseline_path=None, baseline_norm_median=None,
-        baseline_stall_median=None, cliff_ratio=0.125, stall_factor=20.0)
+        config_name="small", runs=runs, reference=[], cliff_ratio=0.125,
+        stall_factor=20.0)
 
 
 class TestCLI:

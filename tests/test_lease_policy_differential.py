@@ -78,8 +78,7 @@ def test_litmus_corpus_passes_under_policy(policy, tmp_path):
 def test_hostile_smoke_grid_passes_under_policy(policy, tmp_path):
     result = run_hostile_campaign(
         config_name="small", regimes="all", runs=5, seed=0,
-        protocols=("RCC", "RCC-WO"), baseline_path=None, calibration=1.0,
-        lease_policy=policy)
+        protocols=("RCC", "RCC-WO"), lease_policy=policy)
     assert all(run.cell.lease_policy == policy for run in result.runs)
     findings = result.violations + result.errors
     archived = []

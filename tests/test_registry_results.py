@@ -80,3 +80,8 @@ class TestSimResultMetrics:
 
     def test_dram_saw_traffic(self, result):
         assert result.dram_reads > 0
+
+    def test_events_fired_in_result_payload(self, result):
+        payload = result.to_payload()
+        assert payload["payload_version"] >= 2
+        assert payload["events_fired"] == result.events_fired > 0

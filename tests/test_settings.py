@@ -67,7 +67,8 @@ class TestFromEnv:
 CLIS = {
     "rcc-repro": (runner_cli.main, ["table1", "--quick", "--no-cache"]),
     "repro-fuzz": (fuzz_cli.main, ["--programs", "1"]),
-    "repro-perf": (perf_cli.main, ["--quick", "--out", "{tmp}/bench.json"]),
+    "repro-perf": (perf_cli.main, ["--lease-ablation", "--quick",
+                                   "--out", "{tmp}/ablation.json"]),
 }
 
 #: The six retired switches, typos, a retired kernel switch, and values
@@ -137,7 +138,7 @@ def test_shared_flags_declared_once():
 def test_sanitize_reaches_every_default_executor_cell(monkeypatch):
     """With ``RCC_SANITIZE=1``, every cell a default-settings executor
     runs — through ``run_cells``, the lease ablation, and the hostile
-    campaign — has a sanitizer attached."""
+    campaign with its benign reference — has a sanitizer attached."""
     monkeypatch.setenv("RCC_SANITIZE", "1")
     for name in ("RCC_JOBS", "RCC_CHAOS"):  # serial: the spy is in-process
         monkeypatch.delenv(name, raising=False)
@@ -165,8 +166,9 @@ def test_sanitize_reaches_every_default_executor_cell(monkeypatch):
     del attached[:]
     result = run_hostile_campaign(
         config_name="small", regimes="storm", runs=2, seed=0,
-        protocols=("RCC",), calibration=1.0, baseline_path=None)
-    assert len(attached) == len(result.runs) == 2
+        protocols=("RCC",))
+    assert len(result.runs) == 2 and len(result.reference) == 5
+    assert len(attached) == 2 + 5
 
 
 # ----------------------------------------------------------------------

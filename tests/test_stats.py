@@ -1,15 +1,8 @@
-"""Tests for histograms, time series, and run comparison."""
+"""Tests for the latency histogram."""
 
 import pytest
 
-from repro.common.types import MemOpKind
-from repro.config import GPUConfig
-from repro.sim.gpusim import run_simulation
-from repro.stats.compare import compare_runs, speedup_table
 from repro.stats.histogram import Histogram
-from repro.stats.timeseries import TimeSeries, clock_skew_probe
-from repro.timing.engine import Engine
-from repro.workloads import get_workload
 
 
 class TestHistogram:
@@ -145,102 +138,3 @@ class TestHistogram:
         assert h.buckets()[0] == (2, 3, 1)
         assert h.buckets()[-1] == (512, 1023, 1)
         assert h.percentile(99) <= 700
-
-
-class TestTimeSeries:
-    def test_samples_until_inactive(self):
-        eng = Engine()
-        counter = {"v": 0, "alive": True}
-
-        def bump():
-            counter["v"] += 1
-            if eng.now < 5000:
-                eng.schedule_in(100, bump)
-            else:
-                counter["alive"] = False
-
-        eng.schedule(0, bump)
-        ts = TimeSeries(eng, probe=lambda: counter["v"], period=500,
-                        active=lambda: counter["alive"])
-        ts.start()
-        eng.run()
-        assert len(ts.samples) >= 5
-        vals = ts.values()
-        assert vals == sorted(vals)  # the counter only grows
-        assert ts.peak == vals[-1] == ts.last()
-        assert ts.mean > 0
-
-    def test_bad_period(self):
-        with pytest.raises(ValueError):
-            TimeSeries(Engine(), probe=lambda: 0, period=0)
-
-    def test_clock_skew_probe_on_real_run(self):
-        from repro.sim.gpusim import GPUSimulator
-        cfg = GPUConfig.small()
-        wl = get_workload("dlb", intensity=0.2)
-        sim = GPUSimulator(cfg, "RCC", wl.generate(cfg), "dlb")
-        series = TimeSeries(sim.engine, clock_skew_probe(sim.proto.l1s),
-                            period=500,
-                            active=lambda: not all(c.finished
-                                                   for c in sim.cores))
-        series.start()
-        sim.run()
-        assert series.samples  # cores really do drift apart and resync
-        assert series.peak >= 0
-
-
-class TestCompare:
-    @pytest.fixture(scope="class")
-    def results(self):
-        cfg = GPUConfig.small()
-        out = []
-        for protocol in ("MESI", "RCC"):
-            for wlname in ("dlb", "kmn"):
-                wl = get_workload(wlname, intensity=0.15)
-                out.append(run_simulation(cfg, protocol, wl.generate(cfg),
-                                          wlname))
-        return out
-
-    def test_compare_runs_baseline_is_one(self, results):
-        table = compare_runs(results, baseline_protocol="MESI")
-        assert table["MESI"]["speedup"] == pytest.approx(1.0)
-        assert table["MESI"]["energy"] == pytest.approx(1.0)
-        assert set(table) == {"MESI", "RCC"}
-        assert table["RCC"]["speedup"] > 0
-
-    def test_speedup_table_rows(self, results):
-        rows = speedup_table(results)
-        assert len(rows) == 4
-        assert all(len(r) == 3 for r in rows)
-
-    @staticmethod
-    def _stub(protocol, workload, cycles, energy_total, flits):
-        from types import SimpleNamespace
-        return SimpleNamespace(protocol=protocol, workload=workload,
-                               cycles=cycles,
-                               energy=SimpleNamespace(total=energy_total),
-                               total_flits=flits)
-
-    def test_degenerate_runs_do_not_crash(self):
-        # A zero-cycle run (empty trace) or zero energy total (energy
-        # model off) must not raise ZeroDivisionError or poison the
-        # geometric mean with zeros.
-        results = [
-            self._stub("MESI", "w", cycles=0, energy_total=0.0, flits=0),
-            self._stub("RCC", "w", cycles=0, energy_total=0.0, flits=0),
-        ]
-        table = compare_runs(results, baseline_protocol="MESI")
-        assert table["MESI"]["speedup"] == pytest.approx(1.0)
-        assert table["RCC"]["energy"] == pytest.approx(1.0)
-        rows = speedup_table(results, baseline_protocol="MESI")
-        assert len(rows) == 2  # and formatting a 0-cycle run didn't crash
-
-    def test_zero_cycle_run_against_real_baseline(self):
-        results = [
-            self._stub("MESI", "w", cycles=100, energy_total=4.0, flits=10),
-            self._stub("RCC", "w", cycles=0, energy_total=2.0, flits=5),
-        ]
-        table = compare_runs(results, baseline_protocol="MESI")
-        assert table["MESI"]["speedup"] == pytest.approx(1.0)
-        assert table["RCC"]["speedup"] == pytest.approx(100.0)
-        assert table["RCC"]["energy"] == pytest.approx(0.5)

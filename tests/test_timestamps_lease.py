@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import TimestampConfig
-from repro.core.lease import LeasePredictor
+from repro.core.lease_policy import FixedLeasePolicy
 from repro.core.timestamps import LogicalClock, timestamp_guard_band
 from repro.errors import SimulationError
 from repro.mem.cache_array import CacheLine
@@ -44,7 +44,7 @@ class TestLogicalClock:
 class TestLeasePredictor:
     def make(self, enabled=True):
         cfg = TimestampConfig(predictor_enabled=enabled)
-        return LeasePredictor(cfg), CacheLine(0, L2State.V), cfg
+        return FixedLeasePolicy(cfg), CacheLine(0, L2State.V), cfg
 
     def test_initial_prediction_is_max(self):
         pred, line, cfg = self.make()
