@@ -152,16 +152,13 @@ class L1ControllerBase:
         """Hand a finished memory op back to the core after ``delay``.
 
         Zero-additional-latency completions (same-cycle L1 hits) take the
-        inline path and never touch the event queue; delayed ones use the
-        engine's pooled no-handle fast path (completions are never
-        cancelled)."""
+        inline path and never touch the event queue."""
         if delay <= 0:
             self.core.mem_op_done(record, warp)
         else:
             engine = self.engine
-            engine.schedule_call(
-                engine.now + delay,
-                lambda: self.core.mem_op_done(record, warp))
+            engine.schedule(engine.now + delay,
+                            lambda: self.core.mem_op_done(record, warp))
 
     def count_access(self, record: MemOpRecord) -> None:
         if record.kind is MemOpKind.LOAD:
@@ -228,8 +225,8 @@ class L2ControllerBase:
         if delay <= 0:
             self.noc.send(msg)
         else:
-            self.engine.schedule_call(self.engine.now + delay,
-                                      lambda: self.noc.send(msg))
+            self.engine.schedule(self.engine.now + delay,
+                                 lambda: self.noc.send(msg))
         return msg
 
     def read_backing(self, addr: int) -> Any:

@@ -21,7 +21,6 @@ directory content lives in ``line.sharers`` at the L2.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import List, Optional
 
 from repro.common.messages import Message
@@ -30,7 +29,6 @@ from repro.coherence.base import L1ControllerBase, L2ControllerBase
 from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
 
 RETRY_DELAY = 8
 
@@ -285,8 +283,7 @@ class MESIL2Controller(L2ControllerBase):
         # are ``_counted``-guarded, and the handler's ``can_allocate`` fail is
         # conservatively left to the full path). Anything else re-enters the
         # kind-specific handler, identical to re-entering ``on_message``
-        # (pure dispatch; INV_ACKs are never retried). Never cancelled ->
-        # the engine's no-handle path, which preserves (cycle, seq) order.
+        # (pure dispatch; INV_ACKs are never retried).
         meta = msg.meta
         cb = meta.get("_retry_cb")
         if cb is None:
@@ -296,6 +293,7 @@ class MESIL2Controller(L2ControllerBase):
             capacity = self.mshr.capacity
             recalls = self._recalls
             engine = self.engine
+            schedule = engine.schedule
             valid = L2State.V
 
             def blocked() -> bool:
@@ -307,21 +305,10 @@ class MESIL2Controller(L2ControllerBase):
                     return True
                 return len(entries) >= capacity and block not in entries
 
-            ring = getattr(engine, "_ring", None)  # None on a ringless engine
             if msg.kind is MsgKind.GETS:
                 def cb() -> None:
                     if blocked():
-                        # schedule_call's in-window bare-callback path,
-                        # inlined (see the TC retry for the rationale).
-                        cyc = engine.now + RETRY_DELAY
-                        if ring is not None and cyc < engine._horizon:
-                            engine._live += 1
-                            b = ring[cyc & _RING_MASK]
-                            if not b:
-                                heappush(engine._ring_cycles, cyc)
-                            b.append(cb)
-                        else:
-                            engine.schedule_call(cyc, cb)
+                        schedule(engine.now + RETRY_DELAY, cb)
                     else:
                         self._on_gets(msg)
             else:
@@ -329,20 +316,12 @@ class MESIL2Controller(L2ControllerBase):
 
                 def cb() -> None:
                     if blocked():
-                        cyc = engine.now + RETRY_DELAY
-                        if ring is not None and cyc < engine._horizon:
-                            engine._live += 1
-                            b = ring[cyc & _RING_MASK]
-                            if not b:
-                                heappush(engine._ring_cycles, cyc)
-                            b.append(cb)
-                        else:
-                            engine.schedule_call(cyc, cb)
+                        schedule(engine.now + RETRY_DELAY, cb)
                     else:
                         self._on_getx(msg, atomic)
             meta["_retry_cb"] = cb
         engine = self.engine
-        engine.schedule_call(engine.now + RETRY_DELAY, cb)
+        engine.schedule(engine.now + RETRY_DELAY, cb)
 
     @staticmethod
     def _busy(line: CacheLine) -> bool:

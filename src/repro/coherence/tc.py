@@ -26,7 +26,6 @@ acks can block same-cacheline stores from other warps).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Dict, Optional
 
 from repro.common.messages import Message
@@ -36,7 +35,6 @@ from repro.core.lease import lease_expired, lease_valid, post_lease
 from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
 
 RETRY_DELAY = 8
 
@@ -379,7 +377,7 @@ class TCL2Controller(L2ControllerBase):
                 if self.sanitizer is not None:
                     self._emit(EV.L2_WRITE_BUFFER, block, ack_at=ack_at,
                                exp=line.exp, now=now, atomic=atomic)
-                self.engine.schedule_call(
+                self.engine.schedule(
                     ack_at, lambda: self._apply_strong(msg, block, atomic,
                                                        ack_at))
                 return
@@ -449,8 +447,7 @@ class TCL2Controller(L2ControllerBase):
         # Under MSHR pressure this is re-entered once per RETRY_DELAY per
         # parked request — millions of times in lease-heavy sweeps — so the
         # fail path is inlined: the occupancy test reads the MSHR's entry
-        # dict directly and the retry uses the pooled no-handle scheduling
-        # path (order-identical to ``schedule``, see ``_retry``).
+        # dict directly.
         mshr = self.mshr
         entries = mshr._entries
         if ((len(entries) + len(self.parked) >= mshr.capacity
@@ -465,9 +462,7 @@ class TCL2Controller(L2ControllerBase):
             # pin-flag side effects must be preserved — is skipped by the
             # ``or`` short-circuit either way). Any other state falls
             # through to the kind-specific handler, which is identical to
-            # re-entering ``on_message`` (pure dispatch). Never cancelled
-            # -> the engine's no-handle path, which preserves (cycle, seq)
-            # firing order exactly.
+            # re-entering ``on_message`` (pure dispatch).
             meta = msg.meta
             cb = meta.get("_retry_cb")
             if cb is None:
@@ -475,27 +470,13 @@ class TCL2Controller(L2ControllerBase):
                 parked = self.parked
                 capacity = mshr.capacity
                 engine = self.engine
-                # The self-requeue inlines ``schedule_call``'s in-window
-                # bare-callback path (sans the past-check: now+RETRY_DELAY
-                # is always in the future) — at millions of polls per sweep
-                # the method call itself is measurable. ``_ring`` is never
-                # rebound; ``_ring_cycles`` can be (``_park``), so it is
-                # read through the engine each time.
-                ring = getattr(engine, "_ring", None)  # None on a ringless engine
+                schedule = engine.schedule
                 if is_read:
                     def cb() -> None:
                         if (cache_map.get(block) is None
                                 and len(entries) + len(parked) >= capacity
                                 and block not in entries):
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
+                            schedule(engine.now + RETRY_DELAY, cb)
                         else:
                             self._on_gets(msg)
                 else:
@@ -505,20 +486,12 @@ class TCL2Controller(L2ControllerBase):
                         if (cache_map.get(block) is None
                                 and len(entries) + len(parked) >= capacity
                                 and block not in entries):
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
+                            schedule(engine.now + RETRY_DELAY, cb)
                         else:
                             self._on_write(msg, atomic)
                 meta["_retry_cb"] = cb
             engine = self.engine
-            engine.schedule_call(engine.now + RETRY_DELAY, cb)
+            engine.schedule(engine.now + RETRY_DELAY, cb)
             return
         self.stats.misses += 1
         line = self.cache.insert(block, L2State.IV, self._on_evict)
@@ -588,8 +561,8 @@ class TCL2Controller(L2ControllerBase):
             # Park the live lease so a later write still waits it out.
             exp = line.exp
             self.parked[line.addr] = max(self.parked.get(line.addr, 0), exp)
-            self.engine.schedule_call(post_lease(exp),
-                                      lambda: self._unpark(line.addr, exp))
+            self.engine.schedule(post_lease(exp),
+                                 lambda: self._unpark(line.addr, exp))
         if line.dirty:
             self.writeback_to_dram(line.addr, line.value)
 

@@ -67,9 +67,6 @@ class NoCConfig:
     flit_bytes: int = 4
     link_latency: int = 8            # fixed traversal pipeline depth
     flits_per_cycle_per_port: int = 1
-    #: Virtual channels needed for deadlock freedom: 5 for MESI (separate
-    #: request/response/invalidate/ack/writeback networks), 2 otherwise.
-    virtual_channels: int = 2
 
 
 @dataclass
@@ -81,7 +78,6 @@ class DRAMConfig:
     row_hit_cycles: int = 20         # ~tCL + burst
     row_miss_cycles: int = 64        # precharge + activate + CAS
     min_latency: int = 460           # paper Table III minimum latency
-    queue_depth: int = 64
 
 
 @dataclass
@@ -142,11 +138,6 @@ class TCConfig:
     lease_max: int = 16384
     predictor_enabled: bool = True
 
-    @property
-    def lease_cycles(self) -> int:
-        """Initial/fixed lease (used verbatim when prediction is off)."""
-        return self.lease_default
-
 
 @dataclass
 class GPUConfig:
@@ -154,7 +145,6 @@ class GPUConfig:
 
     n_cores: int = 16
     warps_per_core: int = 48
-    warp_width: int = 32
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig(size_bytes=32 * 1024, assoc=4)
     )
@@ -182,6 +172,8 @@ class GPUConfig:
         self.ts.validate()
         if self.l1.block_bytes != self.l2_per_bank.block_bytes:
             raise ConfigError("L1/L2 block sizes must match")
+        if self.wo_max_outstanding < 1:
+            raise ConfigError("wo_max_outstanding must be >= 1")
 
     # ------------------------------------------------------------------
     # Canned configurations

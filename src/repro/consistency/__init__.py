@@ -1,9 +1,7 @@
-"""Memory-consistency enforcement (core issue policy) and SC verification."""
+"""SC verification: the witness checker and litmus tests."""
 
 from repro.consistency.checker import (
     AXIOMS, SCChecker, Violation, is_init_value,
 )
-from repro.consistency.model import ConsistencyPolicy, SCPolicy, WOPolicy, make_policy
 
-__all__ = ["ConsistencyPolicy", "SCPolicy", "WOPolicy", "make_policy",
-           "SCChecker", "Violation", "AXIOMS", "is_init_value"]
+__all__ = ["SCChecker", "Violation", "AXIOMS", "is_init_value"]

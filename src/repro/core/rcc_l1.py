@@ -76,13 +76,15 @@ class RCCL1Controller(L1ControllerBase):
     def start(self) -> None:
         """Begin the periodic livelock-avoidance tick (paper §III-E)."""
         if self._livelock_period > 0:
-            self.engine.schedule_in(self._livelock_period, self._livelock_tick)
+            self.engine.schedule(self.engine.now + self._livelock_period,
+                                 self._livelock_tick)
 
     def _livelock_tick(self) -> None:
         if self.core is not None and self.core.finished:
             return  # let the event queue drain once the core is done
         self.clock.tick(1)
-        self.engine.schedule_in(self._livelock_period, self._livelock_tick)
+        self.engine.schedule(self.engine.now + self._livelock_period,
+                             self._livelock_tick)
 
     # ------------------------------------------------------------------
     # Core-side events

@@ -29,7 +29,6 @@ Responsibilities beyond the FSM proper:
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Dict, List, Optional
 
 from repro.common.messages import Message
@@ -39,7 +38,6 @@ from repro.core.lease import post_lease
 from repro.core.lease_policy import make_lease_policy
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
 
 #: Delay before re-presenting a request that hit a stalling state (IAV, or a
 #: set with every way pinned). Models the request sitting in the bank's
@@ -114,9 +112,7 @@ class RCCL2Controller(L2ControllerBase):
         # with pure reads — the in-line projected-timestamp computation is
         # ``_projected_ts`` verbatim — and re-arms itself while it holds,
         # conservatively falling back to the full path for the
-        # ``can_allocate`` fail case. Built once per message; never
-        # cancelled -> the engine's no-handle path, which preserves
-        # (cycle, seq) firing order exactly.
+        # ``can_allocate`` fail case. Built once per message.
         meta = msg.meta
         cb = meta.get("_retry_cb")
         if cb is None:
@@ -125,6 +121,7 @@ class RCCL2Controller(L2ControllerBase):
             entries = self.mshr._entries
             capacity = self.mshr.capacity
             engine = self.engine
+            schedule = engine.schedule
             rollover = self.rollover
             dram = self.dram
             threshold = rollover.threshold
@@ -133,8 +130,6 @@ class RCCL2Controller(L2ControllerBase):
             atomic = msg.kind is MsgKind.ATOMIC
             valid = L2State.V
             iav = L2State.IAV
-
-            ring = getattr(engine, "_ring", None)  # None on a ringless engine
 
             def cb() -> None:
                 if not self.frozen and not rollover.in_progress:
@@ -157,22 +152,12 @@ class RCCL2Controller(L2ControllerBase):
                             blocked = (len(entries) >= capacity
                                        and block not in entries)
                         if blocked:
-                            # schedule_call's in-window bare-callback path,
-                            # inlined (see the TC retry for the rationale).
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
+                            schedule(engine.now + RETRY_DELAY, cb)
                             return
                 self.on_message(msg)
             meta["_retry_cb"] = cb
         engine = self.engine
-        engine.schedule_call(engine.now + RETRY_DELAY, cb)
+        engine.schedule(engine.now + RETRY_DELAY, cb)
 
     # ------------------------------------------------------------------
     # GETS
@@ -372,8 +357,8 @@ class RCCL2Controller(L2ControllerBase):
     def _on_dram_data(self, block: int) -> None:
         if self.frozen:
             # Rollover in progress: complete the fill afterwards.
-            self.engine.schedule_call(self.engine.now + RETRY_DELAY,
-                                      lambda: self._on_dram_data(block))
+            self.engine.schedule(self.engine.now + RETRY_DELAY,
+                                 lambda: self._on_dram_data(block))
             return
         line = self.cache._map.get(block)
         entry = self.mshr.get(block)

@@ -82,7 +82,8 @@ class RCCWOL1Controller(RCCL1Controller):
             return
         self.clock.tick(1)
         self.write_clock.tick(1)
-        self.engine.schedule_in(self._livelock_period, self._livelock_tick)
+        self.engine.schedule(self.engine.now + self._livelock_period,
+                             self._livelock_tick)
 
     def rollover_flush(self) -> None:
         super().rollover_flush()

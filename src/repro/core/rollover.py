@@ -77,7 +77,7 @@ class RolloverManager:
         noc = self._l1s[0].noc if self._l1s else None
         flush_round_trip = 2 * (noc.cfg.link_latency if noc else 8) + 4
         total = ring_latency + flush_round_trip
-        self.engine.schedule_in(total, self._finish)
+        self.engine.schedule(self.engine.now + total, self._finish)
 
     def _finish(self) -> None:
         for l1 in self._l1s:

@@ -40,7 +40,6 @@ surfaced in the sweep summary line (:class:`repro.exec.engine.SweepStats`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -49,6 +48,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.chaos import FaultPlan
+from repro.exec.journal import payload_digest
 from repro.sim.results import SimResult
 
 #: Default cache directory, relative to the working directory.
@@ -68,18 +68,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: crashed writer and are swept; younger ones may belong to a concurrent
 #: campaign mid-commit.
 STALE_TMP_AGE_S = 3600.0
-
-
-def result_digest(payload: Any) -> str:
-    """sha256 over the canonical JSON form of a result payload.
-
-    Canonical = ``sort_keys`` with default separators, which is also
-    invariant under a JSON round-trip (int keys stringify, tuples become
-    lists *before* hashing), so the digest computed at write time matches
-    one recomputed from the loaded entry.
-    """
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -125,7 +113,7 @@ class ResultCache:
         try:
             if blob["format"] != CACHE_FORMAT or blob["key"] != key:
                 raise ValueError("cache envelope mismatch")
-            if result_digest(blob["result"]) != blob["digest"]:
+            if payload_digest(blob["result"]) != blob["digest"]:
                 raise ValueError("cache entry failed its digest")
             result = SimResult.from_payload(blob["result"])
         except (KeyError, TypeError, ValueError, AttributeError):
@@ -156,7 +144,7 @@ class ResultCache:
         blob = {
             "format": CACHE_FORMAT,
             "key": key,
-            "digest": result_digest(payload),
+            "digest": payload_digest(payload),
             "cell": cell or {},
             "result": payload,
         }

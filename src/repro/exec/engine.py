@@ -50,6 +50,7 @@ every experiment.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from concurrent.futures import BrokenExecutor
@@ -110,9 +111,8 @@ def classify_exception(exc: BaseException, isolated: bool = True) -> str:
 def _percentile(samples: List[float], p: float) -> float:
     """Nearest-rank percentile of a non-empty, unsorted sample list."""
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(p / 100.0 * len(ordered) + 0.5)) - 1))
-    return ordered[rank]
+    rank = math.ceil(p * len(ordered) / 100.0)
+    return ordered[max(rank, 1) - 1]
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,13 @@ JOURNAL_FORMAT = 1
 # ----------------------------------------------------------------------
 
 def payload_digest(payload: Any) -> str:
-    """sha256 over the canonical JSON form of a (JSON-able) payload."""
+    """sha256 over the canonical JSON form of a (JSON-able) payload.
+
+    Canonical = ``sort_keys`` with default separators, which is also
+    invariant under a JSON round-trip (int keys stringify, tuples become
+    lists *before* hashing), so the digest computed at write time matches
+    one recomputed from the loaded record or cache entry.
+    """
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

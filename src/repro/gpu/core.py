@@ -2,8 +2,8 @@
 
 Each core buffers many warps and issues at most one warp-instruction per
 cycle, selected by loose round-robin (as in the paper's Table III). Warps
-execute in order. Memory consistency is enforced at issue by a
-:class:`~repro.consistency.model.ConsistencyPolicy`:
+execute in order. Memory consistency is enforced at issue, by one gate per
+model:
 
 * under SC, a warp's next global memory op stalls until its previous one has
   completed — these are the paper's *SC stalls*, and the core attributes each
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.common.types import AccessOutcome, MemOpKind
-from repro.consistency.model import ConsistencyPolicy, SCPolicy, WOPolicy
 from repro.errors import SimulationError
 from repro.gpu.trace import WarpTrace
 from repro.gpu import warp as _warp_mod
@@ -35,12 +34,12 @@ from repro.timing.engine import Engine
 #: barrier, so the issue scan rejects it with a single list load + compare.
 _NEVER = 1 << 62
 
-#: Policy-park sentinel: the warp is blocked on its own outstanding access
-#: under an inlined (SC/WO) consistency gate, with the stall interval
-#: already stamped — rescanning it every cycle until the access completes
-#: would re-derive the same "blocked" answer, so it parks and the next
-#: ``mem_op_done`` unparks it. Distinct from ``_NEVER`` so a completion
-#: never un-parks a compute-busy, barrier-parked, or finished warp.
+#: Policy-park sentinel: the consistency gate blocked the warp on its own
+#: outstanding access, with the stall interval already stamped —
+#: rescanning it every cycle until the access completes would re-derive
+#: the same "blocked" answer, so it parks and the next ``mem_op_done``
+#: unparks it. Distinct from ``_NEVER`` so a completion never un-parks a
+#: compute-busy, barrier-parked, or finished warp.
 _BLOCKED = _NEVER + 1
 
 
@@ -76,14 +75,16 @@ class CoreStats:
 class GPUCore:
     """One SM: warps + issue stage + barrier unit."""
 
-    def __init__(self, core_id: int, engine: Engine,
-                 policy: ConsistencyPolicy,
-                 traces: List[WarpTrace],
+    def __init__(self, core_id: int, engine: Engine, consistency: str,
+                 wo_max_outstanding: int, traces: List[WarpTrace],
                  on_all_done: Optional[Callable[[int], None]] = None,
                  record_log: bool = False):
         self.core_id = core_id
         self.engine = engine
-        self.policy = policy
+        #: SC: at most one outstanding global memory op per warp. WO: up
+        #: to ``wo_max_outstanding``, and a pending fence blocks the next.
+        self._sc = consistency == "sc"
+        self._wo_max = wo_max_outstanding
         self.warps = [Warp(t) for t in traces]
         for idx, w in enumerate(self.warps):
             w.idx = idx
@@ -102,12 +103,6 @@ class GPUCore:
         self._rr_next = 0
         self._tick_scheduled = False
         self._finished = False
-        #: Exactly SCPolicy / exactly WOPolicy (not subclasses): their
-        #: issue gates are inlined into the scan; subclasses fall back to
-        #: the virtual call so overridden policies keep working.
-        self._sc_fast = type(policy) is SCPolicy
-        self._wo_fast = type(policy) is WOPolicy
-        self._wo_max = getattr(policy, "max_outstanding", 0)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -128,16 +123,15 @@ class GPUCore:
     # Tick / issue stage
     # ------------------------------------------------------------------
     def _schedule_tick(self, cycle: int) -> None:
-        # schedule_call registers the tick in the engine's cycle bucket —
-        # the shared per-cycle dispatch list for every core active in that
-        # cycle. Each core's registration keeps its own (cycle, seq) slot,
-        # so the firing order is identical to the historical one-event-per-
-        # core schedule() (see DESIGN.md Appendix D for why a merged
-        # single-callback dispatcher would NOT be: completions scheduled
-        # between two cores' registrations must fire between their ticks).
+        # The tick lands in the engine's cycle bucket — the shared per-cycle
+        # dispatch list for every core active in that cycle. Each core's
+        # registration keeps its own (cycle, seq) slot (see DESIGN.md
+        # Appendix D for why a merged single-callback dispatcher would
+        # change the firing order: completions scheduled between two cores'
+        # registrations must fire between their ticks).
         if not self._tick_scheduled and not self._finished:
             self._tick_scheduled = True
-            self.engine.schedule_call(cycle, self._tick)
+            self.engine.schedule(cycle, self._tick)
 
     def wake(self) -> None:
         """Called by memory responses / compute completions / timers."""
@@ -148,10 +142,10 @@ class GPUCore:
 
         This is the simulator's hottest function — it scans every warp
         once per active cycle — so the per-warp rejection tests and the
-        SC-policy gate are inlined rather than delegated (the historical
-        ``_consider`` helper). The scan's observable behavior is pinned by
-        the differential battery: same issue choice, same round-robin
-        update, same stall bookkeeping, cycle for cycle.
+        consistency gate are inlined rather than delegated. The scan's
+        observable behavior is pinned by the payload goldens: same issue
+        choice, same round-robin update, same stall bookkeeping, cycle for
+        cycle.
         """
         self._tick_scheduled = False
         if self._finished:
@@ -165,12 +159,11 @@ class GPUCore:
         # inside the loop: once a warp issues, the scan base shifts, so the
         # remaining iterations index from the *updated* round-robin pointer.
         rr = self._rr_next
-        sc_fast = self._sc_fast
-        wo_fast = self._wo_fast
+        sc = self._sc
         wo_max = self._wo_max
         stats = self.stats
         busy = self._busy
-        schedule_call = self.engine.schedule_call
+        schedule = self.engine.schedule
         compute_kind = MemOpKind.COMPUTE
         barrier_kind = MemOpKind.BARRIER
         fence_kind = MemOpKind.FENCE
@@ -201,7 +194,7 @@ class GPUCore:
                 until = now + op.cycles
                 busy[j] = until
                 stats.issued_instructions += 1
-                schedule_call(until, self.wake)
+                schedule(until, self.wake)
                 if warp.pc >= warp.n_ops:
                     busy[j] = _NEVER
                 issued = True
@@ -230,39 +223,31 @@ class GPUCore:
                     more_ready = True
                 continue
 
-            # Global memory op: gate through the consistency policy. The
-            # gate runs (and stamps the stall interval) even when the issue
-            # slot is taken — stall attribution must start the cycle the
-            # warp first became blocked, not the cycle it got a slot. Under
-            # the inlined SC/WO gates a blocked warp then parks: the gate
-            # cannot reopen before one of its own accesses completes, and
-            # ``mem_op_done`` unparks it that cycle, so the re-scan it
-            # skips would have re-derived "blocked" every time.
-            if sc_fast:
-                outstanding = warp.outstanding
+            # Global memory op: gate through the consistency model. The
+            # gate runs (and stamps the stall interval, attributed to the
+            # oldest outstanding op) even when the issue slot is taken —
+            # stall attribution must start the cycle the warp first became
+            # blocked, not the cycle it got a slot. A warp blocked on its
+            # own accesses then parks: the gate cannot reopen before one of
+            # them completes, and ``mem_op_done`` unparks it that cycle, so
+            # the re-scan it skips would have re-derived "blocked" every
+            # time.
+            outstanding = warp.outstanding
+            if sc:
                 if outstanding:
                     if warp.stall_start is None:
                         warp.stall_start = now
                         warp.stall_blocker = outstanding[0].kind
                     busy[j] = _BLOCKED
                     continue
-            elif wo_fast:
-                outstanding = warp.outstanding
-                if warp.fence_pending or len(outstanding) >= wo_max:
-                    if warp.stall_start is None:
-                        warp.stall_start = now
-                        warp.stall_blocker = (outstanding[0].kind
-                                              if outstanding else None)
-                    if outstanding:
-                        busy[j] = _BLOCKED
-                    continue
-            else:
-                ok, blocker = self.policy.can_issue_mem(warp)
-                if not ok:
-                    if warp.stall_start is None:
-                        warp.stall_start = now
-                        warp.stall_blocker = blocker.kind if blocker else None
-                    continue
+            elif warp.fence_pending or len(outstanding) >= wo_max:
+                if warp.stall_start is None:
+                    warp.stall_start = now
+                    warp.stall_blocker = (outstanding[0].kind
+                                          if outstanding else None)
+                if outstanding:
+                    busy[j] = _BLOCKED
+                continue
             if issued:
                 more_ready = True
                 continue
@@ -280,21 +265,17 @@ class GPUCore:
             warp.fence_pending = True
             warp.stall_start = now
             self.stats.fence_ops += 1
-        # Inline fence gates for the two exact policy types (SC: fences
-        # retire immediately; WO: once the warp's accesses drain).
-        if self._sc_fast:
-            done = True
-        elif self._wo_fast:
-            done = not warp.outstanding
-        else:
-            done = self.policy.fence_done(warp)
-        if not done:
-            return "blocked"  # waiting for outstanding accesses to drain
+        # Under SC a fence is a hardware no-op (the paper keeps fences in
+        # traces only to stop compiler reordering; one outstanding op per
+        # warp already orders the pipeline). Under WO it retires once the
+        # warp's accesses drain.
+        if not self._sc and warp.outstanding:
+            return "blocked"
         block_until = self.l1.fence_block_until(warp)
         if block_until > now:
             # Protocol-imposed visibility wait (TC-weak's GWCT).
             self._busy[warp.idx] = block_until
-            self.engine.schedule_call(block_until, self.wake)
+            self.engine.schedule(block_until, self.wake)
             return "blocked"
         if not can_issue:
             return "ready"
@@ -369,15 +350,15 @@ class GPUCore:
         stats.latency_hist[kind].add(latency)
         if self.record_log:
             self.op_log.append(record)
-        # The completion is what re-opens an inlined SC/WO policy gate, so
-        # it owns the unpark. Only the policy-park sentinel is cleared —
+        # The completion is what re-opens the consistency gate, so it owns
+        # the unpark. Only the policy-park sentinel is cleared —
         # compute-busy, barrier-parked, and finished warps stay put.
         if self._busy[warp.idx] == _BLOCKED:
             self._busy[warp.idx] = 0
         # wake(), inlined (hot: one call per completed memory op).
         if not self._tick_scheduled and not self._finished:
             self._tick_scheduled = True
-            self.engine.schedule_call(now, self._tick)
+            self.engine.schedule(now, self._tick)
 
     # ------------------------------------------------------------------
     # Barrier unit (workgroup == core in this model)

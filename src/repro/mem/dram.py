@@ -88,7 +88,7 @@ class DRAMPartition:
             self._queued -= 1
             done(token)
 
-        self.engine.schedule_call(finish, _complete)
+        self.engine.schedule(finish, _complete)
 
     # ------------------------------------------------------------------
     def bump_mnow(self, value: int) -> None:

@@ -125,5 +125,5 @@ class Crossbar:
         handler = self._endpoints.get(msg.dst)
         if handler is None:
             raise KeyError(f"message to unregistered endpoint {msg.dst!r}: {msg!r}")
-        self.engine.schedule_call(arrival, lambda: handler(msg))
+        self.engine.schedule(arrival, lambda: handler(msg))
         return arrival

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 from repro.common.addresses import AddressMap
 from repro.coherence.registry import build_protocol
 from repro.config import GPUConfig
-from repro.consistency.model import make_policy
 from repro.errors import ConfigError, DeadlockError
 from repro.gpu.core import GPUCore
 from repro.gpu.trace import WarpTrace
@@ -75,12 +74,11 @@ class GPUSimulator:
             for ctrl in list(self.proto.l1s) + list(self.proto.l2s):
                 ctrl.sanitizer = self.sanitizer
             self.engine.diagnostics = self.sanitizer.diagnostics
-        policy_kind = self.proto.consistency
         self._cores_done = 0
         self.cores: List[GPUCore] = []
         for i in range(cfg.n_cores):
-            policy = make_policy(policy_kind, cfg.wo_max_outstanding)
-            core = GPUCore(i, self.engine, policy, traces[i],
+            core = GPUCore(i, self.engine, self.proto.consistency,
+                           cfg.wo_max_outstanding, traces[i],
                            on_all_done=self._core_done,
                            record_log=record_ops)
             self.proto.l1s[i].attach_core(core)

@@ -1,5 +1,5 @@
 """Discrete-event simulation engine used by every timed component."""
 
-from repro.timing.engine import Engine, Event
+from repro.timing.engine import Engine
 
-__all__ = ["Engine", "Event"]
+__all__ = ["Engine"]

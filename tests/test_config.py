@@ -72,3 +72,9 @@ def test_mismatched_block_sizes_rejected():
 def test_zero_cores_rejected():
     with pytest.raises(ConfigError):
         GPUConfig.small().replace(n_cores=0).validate()
+
+
+def test_wo_max_outstanding_must_be_positive():
+    GPUConfig.small().replace(wo_max_outstanding=1).validate()
+    with pytest.raises(ConfigError, match="wo_max_outstanding"):
+        GPUConfig.small().replace(wo_max_outstanding=0).validate()

@@ -36,6 +36,10 @@ def test_wo_overlaps_independent_loads(tiny_cfg):
     sc = run_program(tiny_cfg, "RCC", {(0, 0): list(ops)})
     wo = run_program(tiny_cfg, "RCC-WO", {(0, 0): list(ops)})
     assert wo.cycles < sc.cycles
+    # The WO gate also blocks at ``wo_max_outstanding``.
+    capped = run_program(tiny_cfg.replace(wo_max_outstanding=1), "RCC-WO",
+                         {(0, 0): list(ops)})
+    assert capped.cycles > wo.cycles
 
 
 def test_sc_stall_attributed_to_store(tiny_cfg):

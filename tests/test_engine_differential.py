@@ -3,15 +3,16 @@
 Two layers of evidence that the two-level queue preserves the engine's
 determinism contract (events fire in exact ``(cycle, seq)`` order):
 
-* randomized schedule/schedule_call/cancel/run(until) scripts replayed
-  against both engines must produce identical firing logs — with a
-  greedy shrinker so a failure prints its minimal script;
+* randomized schedule/run scripts replayed against both engines must
+  produce identical firing logs — with a greedy shrinker so a failure
+  prints its minimal script;
 * a seeded Fig. 9 sweep cell run end-to-end on each engine must produce
   bit-identical result payloads.
 
 The oracle, :class:`LegacyEngine`, is the single-heap engine the
-simulator shipped with before the bucketed one replaced it. Do not
-optimize it; its value is being the unoptimized reference.
+simulator shipped with before the bucketed one replaced it, cut to the
+API the simulator still calls. Do not optimize it; its value is being
+the unoptimized reference.
 """
 
 import heapq
@@ -34,161 +35,72 @@ Callback = Callable[[], None]
 # ----------------------------------------------------------------------
 # The oracle: the original single-heap engine
 # ----------------------------------------------------------------------
-class LegacyEvent:
-    """Handle for a scheduled event; lets the scheduler cancel it."""
-
-    __slots__ = ("cycle", "seq", "callback", "cancelled")
-
-    def __init__(self, cycle: int, seq: int, callback: Callback):
-        self.cycle = cycle
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the heap, skipped)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "LegacyEvent") -> bool:
-        return (self.cycle, self.seq) < (other.cycle, other.seq)
-
-
 class LegacyEngine:
     """A deterministic discrete-event simulator clock (single global heap)."""
 
     def __init__(self, max_cycles: int = 500_000_000):
         self.now: int = 0
         self.max_cycles = max_cycles
-        self._heap: List[LegacyEvent] = []
+        self._heap: List[Tuple[int, int, Callback]] = []
         self._seq = 0
-        self._events_fired = 0
-        self._stopped = False
+        self.events_fired = 0
         #: Optional () -> str hook appended to DeadlockError messages.
         self.diagnostics: Optional[Callable[[], str]] = None
 
-    def schedule(self, cycle: int, callback: Callback) -> LegacyEvent:
+    def schedule(self, cycle: int, callback: Callback) -> None:
         """Schedule ``callback`` to fire at absolute ``cycle``."""
         if cycle < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past (now={self.now}, at={cycle})"
             )
         self._seq += 1
-        ev = LegacyEvent(cycle, self._seq, callback)
-        heapq.heappush(self._heap, ev)
-        return ev
+        heapq.heappush(self._heap, (cycle, self._seq, callback))
 
-    def schedule_in(self, delay: int, callback: Callback) -> LegacyEvent:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.schedule(self.now + delay, callback)
-
-    def schedule_call(self, cycle: int, callback: Callback) -> None:
-        """The fast engine's no-handle path: plain ``schedule`` with the
-        handle dropped, so shared call sites behave identically."""
-        self.schedule(cycle, callback)
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event returns."""
-        self._stopped = True
-
-    def step(self) -> bool:
-        """Fire the next pending event. Returns False when none remain."""
+    def run(self) -> None:
+        """Fire events in ``(cycle, seq)`` order until the heap drains."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            if ev.cycle > self.max_cycles:
+            cycle, _, callback = heapq.heappop(self._heap)
+            if cycle > self.max_cycles:
                 detail = (f"event horizon exceeded max_cycles="
                           f"{self.max_cycles}; likely livelock or runaway "
                           "simulation")
                 if self.diagnostics is not None:
                     detail += "\n" + self.diagnostics()
                 raise DeadlockError(self.now, detail)
-            self.now = ev.cycle
-            ev.callback()
-            self._events_fired += 1
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None) -> None:
-        """Run until the event queue drains, ``stop()``, or cycle ``until``."""
-        self._stopped = False
-        while not self._stopped:
-            if until is not None and self.peek() is not None and self.peek() > until:
-                self.now = until
-                return
-            if not self.step():
-                return
-
-    def peek(self) -> Optional[int]:
-        """Cycle of the next live event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].cycle if self._heap else None
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
-
-    @property
-    def events_fired(self) -> int:
-        return self._events_fired
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        """(now, events_fired, pending) — used by progress watchdogs."""
-        return (self.now, self._events_fired, self.pending)
+            self.now = cycle
+            callback()
+            self.events_fired += 1
 
 
 # ----------------------------------------------------------------------
 # Script interpreter
 # ----------------------------------------------------------------------
 # A script is a list of top-level ops:
-#   ("sched", delay, tag, nested)  schedule() with a handle kept under tag
-#   ("call",  delay, tag, nested)  schedule_call() (no handle)
-#   ("cancel", tag)                cancel tag's handle if one exists
-#   ("run_until", delta)           run(until=now + delta)
+#   ("sched", delay, tag, nested)  schedule(now + delay)
 #   ("run",)                       drain everything queued so far
-# ``nested`` is a list of (kind, delay, tag) scheduled from inside the
-# callback when it fires — the mid-drain insertion case the bucket
-# cursor must handle.
+# ``nested`` is a list of (delay, tag) scheduled from inside the callback
+# when it fires — the mid-drain insertion case the bucket walk must
+# handle.
 
 
 def exec_script(engine, script):
     log = []
-    handles = {}
 
     def make_cb(tag, nested):
         def cb():
             log.append((engine.now, tag))
-            for kind, delay, sub in nested:
-                if kind == "call":
-                    engine.schedule_call(engine.now + delay, make_cb(sub, ()))
-                else:
-                    handles[sub] = engine.schedule(engine.now + delay,
-                                                   make_cb(sub, ()))
+            for delay, sub in nested:
+                engine.schedule(engine.now + delay, make_cb(sub, ()))
         return cb
 
     for op in script:
-        kind = op[0]
-        if kind == "sched":
+        if op[0] == "sched":
             _, delay, tag, nested = op
-            handles[tag] = engine.schedule(engine.now + delay,
-                                           make_cb(tag, nested))
-        elif kind == "call":
-            _, delay, tag, nested = op
-            engine.schedule_call(engine.now + delay, make_cb(tag, nested))
-        elif kind == "cancel":
-            handle = handles.get(op[1])
-            if handle is not None:
-                handle.cancel()
-        elif kind == "run_until":
-            engine.run(until=engine.now + op[1])
-        elif kind == "run":
+            engine.schedule(engine.now + delay, make_cb(tag, nested))
+        else:
             engine.run()
     engine.run()
-    return log, engine.now, engine.events_fired, engine.pending
+    return log, engine.now, engine.events_fired
 
 
 def observe(script):
@@ -214,28 +126,16 @@ def shrink(script):
 
 
 def random_script(rng):
-    #: Delays straddle the 512-cycle ring window so far-heap migration,
-    #: horizon slides, and run(until) parking all get exercised.
+    #: Delays straddle the 512-cycle ring window so far-heap migration and
+    #: horizon slides, within a run and across mid-script runs, all get
+    #: exercised.
     delays = [0, 0, 1, 2, 3, 7, 8, 50, 200, 511, 512, 513, 900, 5000]
     script = []
-    tag = 0
-    for _ in range(rng.randrange(4, 40)):
-        roll = rng.random()
-        if roll < 0.35:
-            nested = [("call" if rng.random() < 0.5 else "sched",
-                       rng.choice(delays), f"n{tag}-{j}")
-                      for j in range(rng.randrange(0, 3))]
+    for tag in range(rng.randrange(4, 40)):
+        if rng.random() < 0.85:
+            nested = [(rng.choice(delays), f"n{tag}-{j}")
+                      for j in range(rng.randrange(0, 4))]
             script.append(("sched", rng.choice(delays), f"t{tag}", nested))
-            tag += 1
-        elif roll < 0.65:
-            nested = [("call", rng.choice(delays), f"n{tag}-{j}")
-                      for j in range(rng.randrange(0, 3))]
-            script.append(("call", rng.choice(delays), f"t{tag}", nested))
-            tag += 1
-        elif roll < 0.75 and tag:
-            script.append(("cancel", f"t{rng.randrange(tag)}"))
-        elif roll < 0.92:
-            script.append(("run_until", rng.choice([0, 1, 5, 60, 513, 2000])))
         else:
             script.append(("run",))
     return script
@@ -257,91 +157,26 @@ def test_randomized_scripts_match_legacy(seed):
                 f"legacy: {exec_script(LegacyEngine(), minimal)}")
 
 
-def test_interleaved_same_cycle_schedule_and_call_order():
-    # schedule() and schedule_call() share one seq counter: an interleaved
-    # same-cycle mix must fire in exact submission order on both engines.
-    script = [("sched", 5, "a", ()), ("call", 5, "b", ()),
-              ("sched", 5, "c", ()), ("call", 5, "d", ()),
-              ("call", 5, "e", ()), ("sched", 5, "f", ())]
-    fast, slow = observe(script)
-    assert fast == slow
-    assert [tag for _, tag in fast[0]] == ["a", "b", "c", "d", "e", "f"]
-
-
-def test_cancel_of_far_future_event_matches():
-    script = [("sched", 5000, "far", ()), ("sched", 3, "near", ()),
-              ("cancel", "far"), ("run",)]
-    fast, slow = observe(script)
-    assert fast == slow
-    assert fast[3] == 0  # nothing pending on either engine
-
-
-def test_park_and_resume_with_earlier_insertion():
-    # run(until) parks with the next cycle still queued; a later schedule
-    # targets an earlier cycle, which must fire first on resume.
-    script = [("sched", 100, "late", ()), ("run_until", 10),
-              ("sched", 20, "early", ()), ("run",)]
-    fast, slow = observe(script)
-    assert fast == slow
-    assert [tag for _, tag in fast[0]] == ["early", "late"]
-
-
-# ----------------------------------------------------------------------
-# Drain-path edges: the fast engine walks a cycle's bucket by index, so
-# stop() and same-cycle appends happen mid-walk; these pins hold on both
-# engines.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_cls", [Engine, LegacyEngine],
-                         ids=["fast", "legacy"])
-def test_stop_from_bare_callback_mid_drain(engine_cls):
-    # stop() issued *inside* a bare schedule_call callback must halt the
-    # drain before the next entry of the same bucket fires, and a second
-    # run() must resume exactly where it left off.
-    eng = engine_cls()
-    log = []
-    eng.schedule_call(5, lambda: log.append("a"))
-    eng.schedule_call(5, lambda: (log.append("stop"), eng.stop()))
-    eng.schedule_call(5, lambda: log.append("b"))
-    eng.schedule_call(9, lambda: log.append("later"))
-    eng.run()
-    assert log == ["a", "stop"]
-    eng.run()
-    assert log == ["a", "stop", "b", "later"]
-
-
 def test_event_appended_to_current_bucket_mid_drain():
-    # A bare callback scheduling a cancellable *Event* into its own cycle
-    # extends the bucket the fast engine is walking. Firing order must
-    # stay submission order on both engines, and cancelling the fresh
-    # handle from a sibling callback must suppress it.
-    def script_ops(eng, log, cancel_it):
-        box = {}
+    # A callback scheduling into its own cycle extends the bucket the fast
+    # engine is walking. The new event fires after every event already
+    # queued for that cycle, on both engines.
+    logs = []
+    for engine_cls in (Engine, LegacyEngine):
+        eng = engine_cls()
+        log = []
 
-        def planter():
+        def planter(eng=eng, log=log):
             log.append("plant")
-            box["h"] = eng.schedule(eng.now, lambda: log.append("event"))
+            eng.schedule(eng.now, lambda: log.append("event"))
 
-        def sibling():
-            log.append("sibling")
-            if cancel_it:
-                box["h"].cancel()
-
-        eng.schedule_call(7, planter)
-        eng.schedule_call(7, sibling)
-        eng.schedule_call(7, lambda: log.append("tail"))
-
-    for cancel_it, expect in ((False, ["plant", "sibling", "tail",
-                                       "event"]),
-                              (True, ["plant", "sibling", "tail"])):
-        logs = []
-        for engine_cls in (Engine, LegacyEngine):
-            eng = engine_cls()
-            log = []
-            script_ops(eng, log, cancel_it)
-            eng.run()
-            logs.append(log)
-            assert log == expect, (engine_cls.__name__, cancel_it)
-        assert logs[0] == logs[1]
+        eng.schedule(7, planter)
+        eng.schedule(7, lambda log=log: log.append("sibling"))
+        eng.schedule(7, lambda log=log: log.append("tail"))
+        eng.run()
+        assert log == ["plant", "sibling", "tail", "event"], engine_cls
+        logs.append((log, eng.now, eng.events_fired))
+    assert logs[0] == logs[1]
 
 
 # ----------------------------------------------------------------------

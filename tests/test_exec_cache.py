@@ -17,7 +17,8 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.exec import (
-    ResultCache, SimCell, SweepExecutor, cell_key, sweep_cells,
+    ResultCache, SimCell, SweepExecutor, cell_key, payload_digest,
+    sweep_cells,
 )
 from repro.gpu.trace import store_op
 from repro.sim.gpusim import run_simulation
@@ -146,10 +147,9 @@ class TestCorruption:
         assert not os.path.exists(path)
 
     def test_digest_invariant_under_json_round_trip(self, base_result):
-        from repro.exec.cache import result_digest
         payload = base_result.to_payload()
         reloaded = json.loads(json.dumps(payload))
-        assert result_digest(payload) == result_digest(reloaded)
+        assert payload_digest(payload) == payload_digest(reloaded)
 
     def test_corrupted_cell_recomputed_through_executor(self, tmp_path,
                                                         base_result):

@@ -136,3 +136,19 @@ def test_derive_seed_stable_and_distinct():
              for p in ("RCC", "MESI") for w in ("bfs", "dlb")}
     assert len(seeds) == 4
     assert all(0 <= s < 2 ** 63 for s in seeds)
+
+
+@pytest.mark.parametrize("samples,p,want", [
+    ([1, 2], 50, 1),
+    (list(range(1, 11)), 50, 5),
+    ([3, 1, 2], 50, 2),
+    ([7.5], 50, 7.5),
+    ([7.5], 95, 7.5),
+    (list(range(20, 0, -1)), 95, 19),
+    (list(range(1, 101)), 95, 95),
+])
+def test_sweep_summary_percentile_is_nearest_rank(samples, p, want):
+    """The ``[sweep: ...]`` line's p50/p95: the smallest sample with at
+    least ``p`` percent of the samples at or below it."""
+    from repro.exec.engine import _percentile
+    assert _percentile(samples, p) == want

@@ -235,11 +235,10 @@ class TestExecutorResume:
         # Forge the cache entry: altered payload, *re-signed* with a
         # valid digest — the cache's own check passes, only the journal
         # cross-check can catch it.
-        from repro.exec.cache import result_digest
         path = cache.path_for(cell_key(CELLS[0]))
         blob = json.load(open(path))
         blob["result"]["cycles"] += 1
-        blob["digest"] = result_digest(blob["result"])
+        blob["digest"] = payload_digest(blob["result"])
         json.dump(blob, open(path, "w"))
 
         ex = SweepExecutor(env_settings(jobs=1),

@@ -89,7 +89,7 @@ class TestTCBoundary:
         line.exp = 4
         line.value = "tok"
         sim.engine.schedule(5, lambda: l1.access(_load_record(), None))
-        sim.engine.run(until=5)
+        sim.engine.run()
         assert l1.stats.load_hits == 0
         assert l1.stats.load_expired == 1
 
