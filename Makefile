@@ -6,8 +6,7 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench report report-par clean-cache ablate ablate-smoke \
-        chaos chaos-smoke
+        sanitize bench report report-par clean-cache chaos chaos-smoke
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -48,15 +47,6 @@ chaos:           ## full battery: every fault kind + resume round-trips
 
 bench:           ## paper figures/tables under pytest-benchmark
 	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only
-
-ablate:          ## lease-policy ablation on the bench machine
-	$(PYPATH) $(PY) -m repro.perf.cli --lease-ablation
-
-ablate-smoke:    ## small-machine lease ablation + its test batteries
-	$(PYPATH) $(PY) -m repro.perf.cli --lease-ablation --quick \
-	    --out ablation.json
-	$(PYPATH) $(PY) -m pytest -x -q tests/test_lease_policy.py \
-	    tests/test_lease_policy_differential.py tests/test_lease_golden.py
 
 report:          ## regenerate every experiment with paper-vs-measured
 	$(PYPATH) $(PY) -m repro.harness.runner all

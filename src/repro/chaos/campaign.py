@@ -28,9 +28,8 @@ right after the N-th journaled completion — then re-invokes the same
 campaign and asserts that (a) the resumed run replays exactly the N
 journaled cells without re-running them, and (b) its output is
 byte-identical to an uninterrupted run once wall-clock fields are
-stripped. Campaign kinds cover the three sweep entry points named in
-the acceptance criteria: litmus fuzzing, hostile workloads, and the
-lease ablation (plus the raw ``run_cells`` cache path).
+stripped. Campaign kinds cover the sweep entry points: litmus fuzzing
+and hostile workloads (plus the raw ``run_cells`` cache path).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ WALL_CLOCK_FIELDS = frozenset({
 })
 
 #: Campaign kinds the child runner (and the resume battery) understands.
-CHILD_KINDS = ("cells", "litmus", "hostile", "ablation")
+CHILD_KINDS = ("cells", "litmus", "hostile")
 
 
 def strip_wall_clock(doc: Any) -> Any:
@@ -243,7 +242,7 @@ def run_chaos_campaign(plans: Optional[Sequence[ChaosPlan]] = None,
     round-trips for the named campaign kinds); returns every outcome.
 
     ``repro-fuzz --chaos`` drives this with the default matrix and all
-    four campaign kinds; the caller decides pass/fail from the outcomes.
+    three campaign kinds; the caller decides pass/fail from the outcomes.
     ``sanitize`` checks the cache plans' cells; child campaigns get only
     ``RCC_CHAOS``.
     """
@@ -261,11 +260,8 @@ def run_chaos_campaign(plans: Optional[Sequence[ChaosPlan]] = None,
             if out:
                 out(outcome.describe())
         for kind in kill_resume or ():
-            # The quick ablation grid is only two cells; kill after one
-            # so the resume still has work left to do.
             outcome = kill_resume_roundtrip(
-                kind, os.path.join(workdir, f"resume-{kind}"),
-                exit_after=1 if kind == "ablation" else 2)
+                kind, os.path.join(workdir, f"resume-{kind}"))
             outcomes.append(outcome)
             if out:
                 out(outcome.describe())
@@ -423,16 +419,6 @@ def _child_hostile(workdir: str, ex_kwargs: Dict[str, Any]) -> Dict[str, Any]:
             "stats": _stats_doc(ex)}
 
 
-def _child_ablation(workdir: str, ex_kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.perf.bench import run_lease_ablation
-
-    ex = SweepExecutor(**ex_kwargs)
-    report = run_lease_ablation(quick=True, policies=["fixed"],
-                                workloads=["bfs"], executor=ex)
-    return {"canonical": strip_wall_clock(report),
-            "stats": _stats_doc(ex)}
-
-
 def _stats_doc(ex: SweepExecutor) -> Dict[str, Any]:
     s = ex.last_stats
     return {"n_cells": s.n_cells, "n_computed": s.n_computed,
@@ -444,7 +430,6 @@ _CHILD_RUNNERS = {
     "cells": _child_cells,
     "litmus": _child_litmus,
     "hostile": _child_hostile,
-    "ablation": _child_ablation,
 }
 
 

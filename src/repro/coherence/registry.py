@@ -4,21 +4,21 @@ Central place that knows, for each protocol, which controller classes to
 instantiate, how many NoC virtual channels it needs for deadlock freedom
 (energy model input), and which consistency model the core must enforce.
 
-The registry is extensible: :func:`register_protocol` adds a new name with
-its own builder, so experiments (and the differential fuzzer's toy-protocol
-fixtures) can run custom controller sets through the unchanged simulator.
-:func:`available_protocols` / :func:`sc_protocols` / :func:`wo_protocols`
-are the canonical enumerations used by sweeps and fuzz campaigns.
+The protocol set is fixed: :func:`available_protocols` /
+:func:`sc_protocols` / :func:`wo_protocols` are the canonical enumerations
+used by sweeps and fuzz campaigns. The differential fuzzer checks
+deliberately broken toy protocols through its own executor
+(:mod:`repro.fuzz.toy`), not through this registry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.coherence.ideal import IdealL1Controller, IdealL2Controller
 from repro.coherence.mesi import MESIL1Controller, MESIL2Controller
 from repro.coherence.tc import TCL1Controller, TCL2Controller
-from repro.config import GPUConfig, PROTOCOLS, consistency_of
+from repro.config import GPUConfig, consistency_of
 from repro.core.rcc_l1 import RCCL1Controller
 from repro.core.rcc_l2 import RCCL2Controller
 from repro.core.rcc_wo import RCCWOL1Controller
@@ -114,7 +114,7 @@ _BUILDERS: Dict[str, Callable[..., ProtocolInstance]] = {
 
 
 # ----------------------------------------------------------------------
-# Enumeration / extension API
+# Enumeration
 # ----------------------------------------------------------------------
 
 def available_protocols() -> List[str]:
@@ -130,38 +130,6 @@ def sc_protocols() -> List[str]:
 def wo_protocols() -> List[str]:
     """Registered protocols running weakly ordered (fence-based)."""
     return [p for p in available_protocols() if consistency_of(p) == "wo"]
-
-
-def register_protocol(name: str,
-                      builder: Callable[..., ProtocolInstance],
-                      consistency: str = "sc",
-                      virtual_channels: int = 2,
-                      replace: bool = False) -> None:
-    """Register a custom protocol under ``name``.
-
-    ``builder(name, engine, cfg, noc, amap, drams, backing)`` must return a
-    :class:`ProtocolInstance`. ``consistency`` is ``"sc"`` or ``"wo"`` (the
-    core issue policy), ``virtual_channels`` feeds the energy model. Used by
-    tests to inject deliberately broken toy protocols for differential
-    checking without touching the shipped ones.
-    """
-    if consistency not in ("sc", "wo"):
-        raise ConfigError(f"consistency must be 'sc' or 'wo', "
-                          f"got {consistency!r}")
-    if name in _BUILDERS and not replace:
-        raise ConfigError(f"protocol {name!r} is already registered")
-    _BUILDERS[name] = builder
-    PROTOCOLS[name] = consistency
-    VIRTUAL_CHANNELS[name] = virtual_channels
-
-
-def unregister_protocol(name: str) -> None:
-    """Remove a protocol added by :func:`register_protocol`."""
-    if name in ("RCC", "RCC-WO", "TCS", "TCW", "MESI", "SC-IDEAL"):
-        raise ConfigError(f"refusing to unregister built-in {name!r}")
-    _BUILDERS.pop(name, None)
-    PROTOCOLS.pop(name, None)
-    VIRTUAL_CHANNELS.pop(name, None)
 
 
 def build_protocol(name: str, engine, cfg: GPUConfig, noc, amap, drams,

@@ -282,7 +282,7 @@ class TCL2Controller(L2ControllerBase):
             return self.tc_cfg.lease_default
         return line.meta.get("tc_lease", self.tc_cfg.lease_default)
 
-    def _predict_on_write(self, line: CacheLine, waited: int) -> None:
+    def _predict_on_write(self, line: CacheLine) -> None:
         line.meta["written_since_grant"] = True
         if self.tc_cfg.predictor_enabled:
             line.meta["tc_lease"] = self.tc_cfg.lease_min
@@ -363,7 +363,7 @@ class TCL2Controller(L2ControllerBase):
             now = self.engine.now
             self.stats.hits += 1
             hit_lat = self.cfg.l2_per_bank.hit_latency
-            self._predict_on_write(line, max(0, line.exp - now))
+            self._predict_on_write(line)
             if self.strong:
                 # TC-strong: the write *serializes* only once every
                 # outstanding lease has expired. Buffer it; reads keep

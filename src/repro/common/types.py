@@ -123,15 +123,6 @@ class AccessOutcome(enum.Enum):
     STALL = "stall"          # structural/protocol stall; retry next cycle
 
 
-class Direction(enum.Enum):
-    """Crossbar direction (one xbar per direction, as in the paper)."""
-
-    CORE_TO_L2 = "c2m"
-    L2_TO_CORE = "m2c"
-
-    __hash__ = object.__hash__  # see MemOpKind.__hash__
-
-
 # Membership sets for the hot-path properties above (frozenset lookup beats
 # rebuilding a tuple and linearly comparing on every call).
 _GLOBAL_MEM_KINDS = frozenset(

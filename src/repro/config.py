@@ -90,12 +90,6 @@ class TimestampConfig:
     lease_default: int = 64          # fixed lease when the predictor is off
     predictor_enabled: bool = True
     renew_enabled: bool = True
-    #: Lease-sizing strategy the L2 banks run (see
-    #: :mod:`repro.core.lease_policy`): ``fixed`` (the paper's §III-E
-    #: predictor, the default), ``adaptive`` (per-block re-read distance),
-    #: or ``pc-pred`` (PC-indexed renew predictor). Part of every sweep
-    #: cell's content key.
-    lease_policy: str = "fixed"
     #: Livelock avoidance: bump each core's logical now by 1 every N cycles
     #: (0 disables the tick).
     livelock_tick_cycles: int = 10_000
@@ -114,13 +108,6 @@ class TimestampConfig:
             raise ConfigError("timestamps narrower than 8 bits are untested")
         if self.lease_max >= self.max_timestamp:
             raise ConfigError("lease_max must be far below timestamp rollover")
-        # Imported here: lease_policy.py needs TimestampConfig at module
-        # load, so the registry lookup must stay call-time only.
-        from repro.core.lease_policy import LEASE_POLICIES
-        if self.lease_policy not in LEASE_POLICIES:
-            raise ConfigError(
-                f"unknown lease policy {self.lease_policy!r}; choose from "
-                f"{sorted(LEASE_POLICIES)}")
 
 
 @dataclass
@@ -129,8 +116,10 @@ class TCConfig:
 
     TC predicts per-block lifetimes (Singh et al.): blocks written often
     get short leases (so TCS stores barely wait and TCW fences see small
-    GWCTs), read-mostly blocks get long ones. Prediction halves on a write
-    and doubles when an expired copy turns out not to have been written.
+    GWCTs), read-mostly blocks get long ones. A block starts at
+    ``lease_default``; a write sets its prediction to ``lease_min``, and a
+    grant to a copy that expired without being written since multiplies
+    it by 4, capped at ``lease_max``.
     """
 
     lease_min: int = 512

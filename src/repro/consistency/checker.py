@@ -55,10 +55,6 @@ AXIOMS = (AXIOM_PROGRAM_ORDER, AXIOM_COHERENCE, AXIOM_READS_FROM,
           AXIOM_ATOMICITY)
 
 
-def _init_value(addr: int) -> Tuple[str, int]:
-    return (INIT, addr)
-
-
 def is_init_value(v: Any) -> bool:
     """True for the ("init", addr) token blocks start with."""
     return isinstance(v, tuple) and len(v) == 2 and v[0] == INIT

@@ -15,25 +15,15 @@ acquire "write permission" instantly — no invalidations, no lease waits.
 """
 
 from repro.core.timestamps import LogicalClock, timestamp_guard_band
-from repro.core.lease_policy import (
-    LeasePolicy,
-    available_lease_policies,
-    make_lease_policy,
-    register_lease_policy,
-    unregister_lease_policy,
-)
+from repro.core.lease import LeasePredictor
 from repro.core.rcc_l1 import RCCL1Controller
 from repro.core.rcc_l2 import RCCL2Controller
 from repro.core.rcc_wo import RCCWOL1Controller
 from repro.core.rollover import RolloverManager
 
 __all__ = [
-    "LeasePolicy",
+    "LeasePredictor",
     "LogicalClock",
-    "available_lease_policies",
-    "make_lease_policy",
-    "register_lease_policy",
-    "unregister_lease_policy",
     "RCCL1Controller",
     "RCCL2Controller",
     "RCCWOL1Controller",

@@ -170,8 +170,7 @@ class RCCL1Controller(L1ControllerBase):
         entry.meta["gets_out"] = True
         self.send_to_l2(
             MsgKind.GETS, block, now=rnow, exp=old_exp,
-            meta={"expired": expired, "epoch": self.rollover.epoch,
-                  "pc": record.prog_index},
+            meta={"expired": expired, "epoch": self.rollover.epoch},
         )
         return AccessOutcome.MISS
 
@@ -283,8 +282,7 @@ class RCCL1Controller(L1ControllerBase):
             self.send_to_l2(
                 MsgKind.GETS, block, now=self._read_now(),
                 exp=exp if renewable else None,
-                meta={"expired": renewable, "epoch": self.rollover.epoch,
-                      "pc": keep[0][0].prog_index},
+                meta={"expired": renewable, "epoch": self.rollover.epoch},
             )
         else:
             entry.meta["gets_out"] = False
@@ -305,8 +303,7 @@ class RCCL1Controller(L1ControllerBase):
             if entry is not None and entry.waiting_loads:
                 self.send_to_l2(
                     MsgKind.GETS, block, now=self._read_now(), exp=None,
-                    meta={"expired": False, "epoch": self.rollover.epoch,
-                          "pc": entry.waiting_loads[0][0].prog_index},
+                    meta={"expired": False, "epoch": self.rollover.epoch},
                 )
                 entry.meta["gets_out"] = True
             return

@@ -29,13 +29,12 @@ Responsibilities beyond the FSM proper:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.messages import Message
 from repro.common.types import L2State, MsgKind
 from repro.coherence.base import L2ControllerBase
-from repro.core.lease import post_lease
-from repro.core.lease_policy import make_lease_policy
+from repro.core.lease import LeasePredictor, post_lease
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
 
@@ -55,10 +54,7 @@ class RCCL2Controller(L2ControllerBase):
         super().__init__(bank_id, engine, cfg, noc, amap, dram, backing,
                          L2State.I)
         self.rollover = rollover
-        #: The pluggable lease-sizing strategy (``cfg.ts.lease_policy``).
-        #: Kept under the historical ``predictor`` name: every policy
-        #: implements the predictor interface plus the observation hooks.
-        self.predictor = make_lease_policy(cfg.ts)
+        self.predictor = LeasePredictor(cfg.ts)
         self.renew_enabled = cfg.ts.renew_enabled
         self._lease_max2 = cfg.ts.lease_max + 2
         self.frozen = False
@@ -200,18 +196,13 @@ class RCCL2Controller(L2ControllerBase):
 
     def _grant_lease(self, msg: Message, line: CacheLine, m_now: int,
                      m_exp: Optional[int]) -> None:
-        pc = msg.meta.get("pc")
-        lease = self.predictor.lease_for(line, m_now, pc)
+        lease = self.predictor.lease_for(line)
         prev_exp = line.exp
         line.exp = max(line.exp, line.ver + lease, m_now + lease)
         line.touch()
         arrival = self.next_arrival()
         renewing = (self.renew_enabled and m_exp is not None
                     and m_exp > line.ver)
-        if m_exp is not None and m_exp <= line.ver:
-            # The requester's lease outlived the data (written since):
-            # the policy's mispredict signal, independent of renew_enabled.
-            self.predictor.on_expired_miss(line, pc)
         if self.sanitizer is not None:
             self._emit(EV.L2_RENEW_GRANT if renewing else EV.L2_READ_GRANT,
                        msg.addr, ver=line.ver, exp=line.exp, m_now=m_now,
@@ -220,7 +211,7 @@ class RCCL2Controller(L2ControllerBase):
         if renewing:
             # The requester's copy is still current: extend, don't resend.
             self.stats.renew_grants += 1
-            self.predictor.on_renew(line, pc)
+            self.predictor.on_renew(line)
             self.send(msg.src, MsgKind.RENEW, msg.addr, exp=line.exp,
                       meta={"epoch": self.rollover.epoch, "arrival": arrival},
                       delay=self.cfg.l2_per_bank.hit_latency)
@@ -405,9 +396,7 @@ class RCCL2Controller(L2ControllerBase):
         else:
             line.value = self.read_backing(block)
         if entry.has_read:
-            pc = next((m.meta.get("pc") for m in entry.waiting_loads
-                       if m.meta.get("pc") is not None), None)
-            lease = self.predictor.lease_for(line, entry.lastrd, pc)
+            lease = self.predictor.lease_for(line)
             line.exp = max(line.ver + lease, entry.lastrd + lease)
         if self.sanitizer is not None:
             self._emit(EV.L2_FILL, block, ver=line.ver, exp=line.exp,

@@ -52,18 +52,6 @@ class SimCell:
         suffix = "".join(f",{k}={v}" for k, v in self.ts_overrides)
         return f"{self.protocol}/{self.workload}{suffix}"
 
-    @property
-    def lease_policy(self) -> str:
-        """The lease policy this cell runs (override-aware).
-
-        The policy travels in ``ts_overrides`` like every other timestamp
-        knob — so it is already part of :func:`cell_key`'s content hash —
-        but ablation drivers and reports want it by name."""
-        for k, v in self.ts_overrides:
-            if k == "lease_policy":
-                return v
-        return self.cfg.ts.lease_policy
-
     def effective_cfg(self) -> GPUConfig:
         """The machine config with this cell's timestamp overrides applied."""
         if not self.ts_overrides:

@@ -17,12 +17,13 @@ changes — unlike cycles, which later engine work may legitimately move).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import GPUConfig, named_config
+from repro.config import GPUConfig, TimestampConfig, named_config
 from repro.errors import ReproError
 from repro.exec.cells import SimCell, canonical_overrides
 from repro.sim.gpusim import run_simulation
@@ -33,17 +34,8 @@ CELL_SCHEMA = 1
 
 def cell_to_json(cell: SimCell, config_name: str, reason: str = "",
                  expect: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """The JSON document a ``.cell`` file holds.
-
-    The lease policy, though it travels inside ``ts_overrides`` like any
-    other timestamp knob, is promoted to an optional top-level
-    ``lease_policy`` field so reproducer files state the policy they were
-    found under at a glance. Files without the field (every pre-policy
-    corpus entry) parse unchanged.
-    """
-    overrides = dict(cell.ts_overrides)
-    policy = overrides.pop("lease_policy", None)
-    doc = {
+    """The JSON document a ``.cell`` file holds."""
+    return {
         "schema": CELL_SCHEMA,
         "kind": "hostile-cell",
         "config": config_name,
@@ -51,13 +43,10 @@ def cell_to_json(cell: SimCell, config_name: str, reason: str = "",
         "workload": cell.workload,
         "intensity": cell.intensity,
         "seed": cell.seed,
-        "ts_overrides": [[k, v] for k, v in sorted(overrides.items())],
+        "ts_overrides": [[k, v] for k, v in sorted(cell.ts_overrides)],
         "reason": reason,
         "expect": expect or {},
     }
-    if policy is not None:
-        doc["lease_policy"] = policy
-    return doc
 
 
 def save_cell(path: str, cell: SimCell, config_name: str,
@@ -70,7 +59,14 @@ def save_cell(path: str, cell: SimCell, config_name: str,
 
 
 def load_cell(path: str) -> Tuple[SimCell, Dict[str, Any]]:
-    """Rebuild (cell, metadata) from a ``.cell`` file."""
+    """Rebuild (cell, metadata) from a ``.cell`` file.
+
+    Every override must name a :class:`~repro.config.TimestampConfig`
+    field. Files written while the L2 could run other lease policies may
+    carry a top-level ``lease_policy``: ``"fixed"`` was the paper's
+    predictor, which every cell now runs, and any other policy is refused
+    rather than replayed under a rule it was not found under.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != CELL_SCHEMA or doc.get("kind") != "hostile-cell":
@@ -78,11 +74,18 @@ def load_cell(path: str) -> Tuple[SimCell, Dict[str, Any]]:
             f"{path}: not a v{CELL_SCHEMA} hostile-cell file "
             f"(schema={doc.get('schema')!r}, kind={doc.get('kind')!r})")
     cfg: GPUConfig = named_config(doc["config"])
+    policy = doc.get("lease_policy", "fixed")
+    if policy != "fixed":
+        raise ReproError(
+            f"{path}: found under lease policy {policy!r}; only the "
+            "paper's predictor ('fixed') can be replayed")
     overrides = {k: v for k, v in doc.get("ts_overrides", [])}
-    # Optional since schema 1: the promoted lease-policy field folds back
-    # into the timestamp overrides it came from.
-    if "lease_policy" in doc:
-        overrides["lease_policy"] = doc["lease_policy"]
+    fields = {f.name for f in dataclasses.fields(TimestampConfig)}
+    for key in overrides:
+        if key not in fields:
+            raise ReproError(
+                f"{path}: ts_overrides names {key!r}, which is not a "
+                "TimestampConfig field")
     cell = SimCell(
         cfg=cfg,
         protocol=doc["protocol"],

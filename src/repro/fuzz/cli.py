@@ -34,7 +34,6 @@ from typing import List, Optional
 
 from repro.coherence.registry import available_protocols
 from repro.config import NAMED_CONFIGS, named_config
-from repro.core.lease_policy import available_lease_policies
 from repro.errors import ReproError
 from repro.exec import SweepExecutor
 from repro.fuzz.cellfile import cell_files, replay_cell, save_cell
@@ -64,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", choices=sorted(NAMED_CONFIGS),
                    default="small",
                    help="base machine configuration (default small)")
-    p.add_argument("--lease-policy", default=None,
-                   choices=available_lease_policies(),
-                   help="pin one RCC lease policy for every run (litmus "
-                        "mode: sets the base config; --workloads: forces "
-                        "the policy on every mutation draw instead of "
-                        "sampling it)")
     # Generator knobs.
     p.add_argument("--cores", type=int, default=2)
     p.add_argument("--warps", type=int, default=1,
@@ -142,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos-resume-kinds", default="all", metavar="KINDS",
                    help="with bare --chaos: comma-separated campaign "
                         "kinds for the kill-and-resume battery, 'all' "
-                        "(cells, litmus, hostile, ablation) or 'none'")
+                        "(cells, litmus, hostile) or 'none'")
     return p
 
 
@@ -157,10 +150,6 @@ def _knobs(args) -> FuzzKnobs:
 
 def _runner(args, settings: Settings) -> DifferentialRunner:
     cfg = named_config(args.config)
-    if args.lease_policy:
-        import dataclasses
-        cfg = cfg.replace(
-            ts=dataclasses.replace(cfg.ts, lease_policy=args.lease_policy))
     protocols = (available_protocols() if args.protocols == "all"
                  else [s.strip() for s in args.protocols.split(",") if s.strip()])
     return DifferentialRunner(cfg=cfg, protocols=protocols,
@@ -222,8 +211,7 @@ def _workloads_main(args, settings: Settings) -> int:
         config_name=args.config, regimes=args.regimes, runs=args.runs,
         seed=args.seed, protocols=protocols,
         cliff_ratio=args.cliff_ratio, stall_factor=args.stall_factor,
-        executor=_executor(args, settings), on_run=progress,
-        lease_policy=args.lease_policy)
+        executor=_executor(args, settings), on_run=progress)
     print(result.render())
     if args.report:
         with open(args.report, "w") as fh:

@@ -246,8 +246,7 @@ class HostileCampaignResult:
 
 
 def plan_cells(regimes: Sequence[HostileRegime], runs: int, seed: int,
-               cfg: GPUConfig, protocols: Sequence[str],
-               ts_pins: Optional[Dict[str, Any]] = None
+               cfg: GPUConfig, protocols: Sequence[str]
                ) -> List[Tuple[HostileRegime, SimCell]]:
     """The campaign grid: ``runs`` mutation draws round-robined across
     regimes, each paired with a protocol and intensity from the ladder.
@@ -257,11 +256,6 @@ def plan_cells(regimes: Sequence[HostileRegime], runs: int, seed: int,
     campaign is reproducible from its command line alone. Draw 0 of each
     regime is the *unmutated* center point, guaranteeing the five
     canonical regimes themselves are always covered.
-
-    ``ts_pins`` force timestamp fields on every planned cell *after* the
-    mutation draw (``--lease-policy`` pins the policy campaign-wide this
-    way); the draw stream itself is unaffected, so a pinned campaign
-    visits the same knob points as an unpinned one.
     """
     import random
 
@@ -274,8 +268,6 @@ def plan_cells(regimes: Sequence[HostileRegime], runs: int, seed: int,
             spec, ts = regime.default_cell_inputs()
         else:
             spec, ts = regime.sample_cell_inputs(rng)
-        if ts_pins:
-            ts.update(ts_pins)
         protocol = protocols[rng.randrange(len(protocols))]
         intensity = _INTENSITIES[rng.randrange(len(_INTENSITIES))]
         cell = SimCell(cfg=cfg, protocol=protocol, workload=spec,
@@ -323,7 +315,6 @@ def run_hostile_campaign(
         stall_factor: float = 20.0,
         executor: Optional[SweepExecutor] = None,
         on_run: Optional[Callable[[int, "HostileRun"], None]] = None,
-        lease_policy: Optional[str] = None,
 ) -> HostileCampaignResult:
     """Run one workload-knob fuzz campaign; see the module docstring.
 
@@ -331,14 +322,11 @@ def run_hostile_campaign(
     ``executor.map`` call. Every cell executes with invariant checking
     on, whatever the executor's settings; the default executor takes the
     environment's settings but runs serially, so throughput cliffs can be
-    judged. ``lease_policy`` pins one policy on every hostile draw
-    (otherwise each draw samples a policy from the regime's
-    ``ts_choices``).
+    judged.
     """
     regime_list = select_regimes(regimes)
     cfg = named_config(config_name)
-    ts_pins = {"lease_policy": lease_policy} if lease_policy else None
-    planned = plan_cells(regime_list, runs, seed, cfg, protocols, ts_pins)
+    planned = plan_cells(regime_list, runs, seed, cfg, protocols)
     executor = executor or SweepExecutor(replace(Settings.from_env(), jobs=1))
 
     records = executor.map(
@@ -348,8 +336,7 @@ def run_hostile_campaign(
         + [f"{reg.name}:{cell.label}" for reg, cell in planned],
         meta={"campaign": "hostile-workloads", "config": config_name,
               "regimes": regimes, "runs": runs, "seed": seed,
-              "protocols": list(protocols),
-              "lease_policy": lease_policy})
+              "protocols": list(protocols)})
 
     n_ref = len(BENIGN_CELLS)
     result = HostileCampaignResult(

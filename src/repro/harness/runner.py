@@ -30,7 +30,6 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.config import GPUConfig
-from repro.core.lease_policy import available_lease_policies
 from repro.exec import ResultCache, SweepExecutor
 from repro.settings import Settings, cli_parent, cli_settings
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, \
@@ -55,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-config", action="store_true",
                    help="use the full Table III machine (16 SMs x 48 warps; "
                         "slow in this Python simulator)")
-    p.add_argument("--lease-policy", default=None,
-                   choices=available_lease_policies(),
-                   help="RCC lease-sizing policy for every experiment "
-                        "(default: the config's, i.e. 'fixed')")
     p.add_argument("--report", metavar="FILE",
                    help="also write a markdown report to FILE")
     p.add_argument("--no-cache", action="store_true",
@@ -126,10 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             sanitize=args.sanitize,
                             trace_out=args.trace_out)
     cfg = GPUConfig.paper() if args.paper_config else GPUConfig.bench()
-    if args.lease_policy:
-        import dataclasses
-        cfg = cfg.replace(
-            ts=dataclasses.replace(cfg.ts, lease_policy=args.lease_policy))
     intensity = 0.1 if args.quick else args.intensity
     harness = Harness(cfg=cfg, intensity=intensity, seed=args.seed,
                       executor=make_executor(args, settings))

@@ -18,7 +18,7 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, Tuple
 
 from repro.common.messages import Message
-from repro.common.types import Direction, MsgKind
+from repro.common.types import MsgKind
 from repro.config import NoCConfig
 from repro.timing.engine import Engine
 
@@ -86,10 +86,6 @@ class Crossbar:
     def register(self, endpoint: Any, deliver: DeliverCb) -> None:
         """Attach an endpoint id (e.g. ``("l2", 0)``) to its handler."""
         self._endpoints[endpoint] = deliver
-
-    @staticmethod
-    def direction_of(src: Any) -> Direction:
-        return Direction.CORE_TO_L2 if src[0] == "core" else Direction.L2_TO_CORE
 
     # ------------------------------------------------------------------
     def send(self, msg: Message) -> int:

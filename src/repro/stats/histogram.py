@@ -23,10 +23,6 @@ class Histogram:
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    @staticmethod
-    def _bucket_of(value: int) -> int:
-        return value.bit_length()  # 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3 ...
-
     def _bucket_bounds(self, i: int) -> Tuple[int, int]:
         """Nominal [lo, hi] of bucket ``i`` — except the last bucket,
         which is a *saturation* bucket: both ``add`` (values clamped to

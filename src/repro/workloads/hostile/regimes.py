@@ -49,9 +49,6 @@ class HostileRegime:
     #: Timestamp-config fields the fuzzer additionally mutates, with
     #: inclusive integer ranges.
     ts_ranges: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
-    #: Categorical timestamp-config fields the fuzzer draws uniformly
-    #: from a fixed value set (e.g. the lease policy).
-    ts_choices: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     #: Workload knobs to mutate (empty = all of the generator's knobs).
     mutate_knobs: Tuple[str, ...] = ()
     #: Knob values forced for every run (overriding generator defaults).
@@ -70,8 +67,6 @@ class HostileRegime:
         ts = dict(self.ts_overrides)
         for name, (lo, hi) in self.ts_ranges:
             ts[name] = rng.randint(lo, hi)
-        for name, values in self.ts_choices:
-            ts[name] = values[rng.randrange(len(values))]
         return spec, ts
 
     def default_cell_inputs(self) -> Tuple[str, Dict[str, Any]]:
@@ -88,39 +83,28 @@ class HostileRegime:
 _STORM_TS = (("bits", 11), ("lease_min", 8), ("lease_default", 64),
              ("lease_max", 64), ("predictor_enabled", False))
 
-#: Every regime fuzzes the lease policy as a categorical knob: hostile
-#: access patterns are exactly where lease-sizing strategies diverge, and
-#: the differential battery wants violations found under *any* policy.
-#: Draw 0 (the unmutated center point) still runs the default ``fixed``.
-_POLICY_CHOICE = (("lease_policy", ("fixed", "adaptive", "pc-pred")),)
-
 REGIMES: Dict[str, HostileRegime] = {
     "storm": HostileRegime(
         name="storm", workload="storm",
         description="timestamp-rollover storm: tiny width + write-heavy",
         ts_overrides=_STORM_TS,
         ts_ranges=(("bits", (10, 13)),),
-        ts_choices=_POLICY_CHOICE,
     ),
     "pingpong": HostileRegime(
         name="pingpong", workload="pingpong",
         description="false-sharing ping-pong on a handful of blocks",
-        ts_choices=_POLICY_CHOICE,
     ),
     "rwext": HostileRegime(
         name="rwext", workload="rwext",
         description="reader/writer ratio extremes",
-        ts_choices=_POLICY_CHOICE,
     ),
     "bursty": HostileRegime(
         name="bursty", workload="bursty",
         description="bursty phase-changing traffic",
-        ts_choices=_POLICY_CHOICE,
     ),
     "thrash": HostileRegime(
         name="thrash", workload="thrash",
         description="million-block working sets that thrash the L2",
-        ts_choices=_POLICY_CHOICE,
     ),
 }
 

@@ -1,8 +1,8 @@
 """Regenerate ``fixed_policy_golden.json`` from the current tree.
 
-Only run this when a *deliberate* behavior change under the default
-(``fixed``) lease policy lands; the whole point of the golden battery is
-that this file is regenerated knowingly, never as a side effect. Usage::
+Only run this when a *deliberate* behavior change lands; the whole point
+of the golden battery is that this file is regenerated knowingly, never
+as a side effect. Usage::
 
     PYTHONPATH=src python tests/golden/regen_fixed_policy_golden.py
 """
@@ -50,7 +50,7 @@ def main() -> None:
     doc = {
         "kind": "fixed-policy-golden",
         "schema": 1,
-        "note": "Payload hashes of the default (fixed) lease policy, "
+        "note": "Payload hashes of all six protocols, "
                 f"captured at commit {rev}. Small machine, seed {SEED}. "
                 "Regenerate only for deliberate behavior changes.",
         "cells": cells,

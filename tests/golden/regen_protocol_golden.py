@@ -1,11 +1,10 @@
-"""Regenerate the RCC / RCC-WO / MESI payload golden and the sanitizer
-event-stream golden.
+"""Regenerate the sanitizer event-stream golden.
 
-``protocol_golden.json`` pins the result payloads of RCC, RCC-WO and
-MESI across the battery workloads and every registered lease policy.
 ``event_stream_golden.json`` pins, per protocol, the count and SHA-256
 of every ``Sanitizer.emit`` call of one sanitized run — the same
 transitions at the same cycles with the same fields, event for event.
+The result payloads are pinned by ``fixed_policy_golden.json``
+(``regen_fixed_policy_golden.py``).
 
 Only run this when a *deliberate* protocol behavior change lands; commit
 the regenerated files in the same PR as the change. Usage::
@@ -19,21 +18,14 @@ import hashlib
 import json
 import os
 import subprocess
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.config import GPUConfig
-from repro.core.lease_policy import available_lease_policies
-from repro.exec import SimCell, run_cell
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim.gpusim import run_simulation
 from repro.workloads import get_workload
 
-PROTOCOLS = ("RCC", "RCC-WO", "MESI")
-WORKLOADS = ("bfs", "stn", "dlb", "lud")
-INTENSITIES = (0.25, 1.0)
-SEED = 1234
 HERE = os.path.dirname(__file__)
-PAYLOAD_OUT = os.path.join(HERE, "protocol_golden.json")
 
 #: The event-stream cell: every SC/WO protocol with a real transition
 #: stream, on the small machine.
@@ -70,29 +62,6 @@ def event_stream(protocol: str) -> Tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def payload_cells() -> Dict[str, dict]:
-    cells = {}
-    for protocol in PROTOCOLS:
-        for workload in WORKLOADS:
-            for policy in available_lease_policies():
-                for intensity in INTENSITIES:
-                    cell = SimCell(
-                        cfg=GPUConfig.small(), protocol=protocol,
-                        workload=workload, intensity=intensity, seed=SEED,
-                        ts_overrides=(("lease_policy", policy),))
-                    res = run_cell(cell)
-                    blob = json.dumps(res.to_payload(), sort_keys=True)
-                    key = f"{protocol}/{workload}/{policy}@{intensity}"
-                    cells[key] = {
-                        "payload_sha256": hashlib.sha256(
-                            blob.encode()).hexdigest(),
-                        "cycles": res.cycles,
-                        "mem_ops": res.mem_ops,
-                    }
-                    print(f"{key}: {cells[key]['payload_sha256'][:12]}")
-    return cells
-
-
 def _write(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -107,14 +76,6 @@ def main() -> None:
                              check=True).stdout.strip()
     except Exception:
         rev = "unknown"
-    _write(PAYLOAD_OUT, {
-        "kind": "protocol-golden",
-        "schema": 1,
-        "note": "Payload hashes for RCC, RCC-WO and MESI, captured at "
-                f"commit {rev}. Small machine, seed {SEED}. Regenerate "
-                "only for deliberate behavior changes.",
-        "cells": payload_cells(),
-    })
     streams = {}
     for protocol in STREAM_PROTOCOLS:
         count, sha = event_stream(protocol)

@@ -21,9 +21,5 @@ pytestmark = pytest.mark.chaos
 
 @pytest.mark.parametrize("kind", CHILD_KINDS)
 def test_kill_and_resume_round_trip(kind, tmp_path):
-    # The quick ablation grid is only two cells; kill after one so the
-    # resume still has work left to do.
-    exit_after = 1 if kind == "ablation" else 2
-    outcome = kill_resume_roundtrip(kind, str(tmp_path),
-                                    exit_after=exit_after)
+    outcome = kill_resume_roundtrip(kind, str(tmp_path))
     assert outcome.ok, outcome.describe()

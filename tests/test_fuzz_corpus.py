@@ -1,7 +1,8 @@
 """Regression corpus replay: every shrunk reproducer checked into
-``tests/corpus/`` is re-run under every registered protocol on every test
-run, plus round-trip tests for the corpus text format (which doubles as a
-plain repro-trace workload file)."""
+``tests/corpus/`` is re-run under every registered protocol, with the
+coherence sanitizer on, on every test run, plus round-trip tests for the
+corpus text format (which doubles as a plain repro-trace workload
+file)."""
 
 import os
 
@@ -33,7 +34,7 @@ def test_corpus_is_nonempty():
                          ids=[name for name, _ in CORPUS])
 def test_corpus_replays_clean_under_all_protocols(small_cfg, filename,
                                                   program):
-    runner = DifferentialRunner(cfg=small_cfg)
+    runner = DifferentialRunner(cfg=small_cfg, sanitize=True)
     verdict = runner.check_program(program)
     assert verdict.passed, verdict.describe()
 

@@ -265,6 +265,40 @@ class TestCellFiles:
         assert "drifted" in replay.reasons[0]
         assert "FAIL" in replay.describe()
 
+    def _write_doc(self, path, **fields):
+        """A loadable cell document with ``fields`` laid over it."""
+        cell = SimCell(cfg=CFG, protocol="RCC", workload="storm",
+                       intensity=0.25, seed=3, ts_overrides=(("bits", 12),))
+        save_cell(path, cell, "small")
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc.update(fields)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return cell
+
+    def test_unknown_override_is_unreadable(self, tmp_path):
+        path = str(tmp_path / "bogus.cell")
+        self._write_doc(path, ts_overrides=[["bogus", 3]])
+        with pytest.raises(ReproError, match="bogus") as exc_info:
+            load_cell(path)
+        assert path in str(exc_info.value)
+        replay = replay_cell(path)
+        assert not replay.passed and "unreadable" in replay.reasons[0]
+
+    def test_directory_replay_continues_past_unreadable_cells(
+            self, tmp_path, capsys):
+        self._write_doc(str(tmp_path / "a_bogus.cell"),
+                        ts_overrides=[["bogus", 3]])
+        self._write_doc(str(tmp_path / "b_adaptive.cell"),
+                        lease_policy="adaptive")
+        save_cell(str(tmp_path / "c_good.cell"), _tiny_cell(), "small")
+        assert cli.main(["--replay", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("unreadable cell") == 2
+        assert f"PASS {tmp_path / 'c_good.cell'}" in out
+        assert "3 corpus entries, 2 failing" in out
+
     def test_cell_files_listing(self, tmp_path):
         (tmp_path / "b.cell").write_text("{}")
         (tmp_path / "a.cell").write_text("{}")

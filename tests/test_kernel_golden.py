@@ -1,8 +1,13 @@
-"""Golden batteries for RCC, RCC-WO and MESI: payloads and event streams.
+"""Golden batteries for RCC, RCC-WO and MESI under the sanitizer:
+payloads and event streams.
 
-``tests/golden/protocol_golden.json`` pins the result payload SHA-256,
-cycles and mem_ops of RCC, RCC-WO and MESI across the battery workloads,
-every registered lease policy, and two intensities on the small machine.
+``test_flat_kernel_bit_identical`` reruns the RCC, RCC-WO and MESI cells
+of the 60-cell payload golden (``tests/golden/fixed_policy_golden.json``,
+see ``tests/test_lease_golden.py``) on the battery workloads with the
+coherence sanitizer armed: every run must pass every invariant, among
+them the ``rcc.grant.policy_ceiling`` bound on each lease the paper's
+predictor grants, and still reproduce its golden payload byte for byte,
+because checking must never change a result.
 ``tests/golden/event_stream_golden.json`` pins, for RCC, RCC-WO, MESI,
 TCS and TCW, the count and SHA-256 of every sanitizer event of one
 sanitized run — each transition at its cycle with its fields. A
@@ -11,6 +16,7 @@ cycles, not stats, not a single payload field or emission point.
 
 If a deliberate protocol behavior change lands later, regenerate with::
 
+    PYTHONPATH=src python tests/golden/regen_fixed_policy_golden.py
     PYTHONPATH=src python tests/golden/regen_protocol_golden.py
 
 and say so in the commit message.
@@ -18,66 +24,62 @@ and say so in the commit message.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
 
-from repro.config import GPUConfig
-from repro.core.lease_policy import available_lease_policies
-from repro.exec import SimCell
-from tests.conftest import env_run_cell
-from tests.golden.regen_protocol_golden import (PAYLOAD_OUT, STREAM_OUT,
-                                                event_stream)
+from repro.exec.cells import run_cell
+from tests.conftest import ENV
+from tests.golden.regen_protocol_golden import STREAM_OUT, event_stream
+from tests.test_lease_golden import GOLDEN as PAYLOADS
+from tests.test_lease_golden import cell_for, payload_hash
 
-with open(PAYLOAD_OUT) as _fh:
-    GOLDEN = json.load(_fh)
 with open(STREAM_OUT) as _fh:
     STREAMS = json.load(_fh)
 
-assert GOLDEN["kind"] == "protocol-golden" and GOLDEN["schema"] == 1
 assert STREAMS["kind"] == "event-stream-golden" and STREAMS["schema"] == 1
 
-
-def payload_hash(result) -> str:
-    """The canonical payload digest the golden file stores."""
-    blob = json.dumps(result.to_payload(), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+BATTERY_PROTOCOLS = {"RCC", "RCC-WO", "MESI"}
+BATTERY_WORKLOADS = {"bfs", "stn", "dlb", "lud"}
 
 
-def cell_for(key: str) -> SimCell:
-    """Rebuild the SimCell a golden key (``RCC/bfs/fixed@0.25``) names."""
-    protocol, workload, rest = key.split("/")
-    policy, intensity = rest.rsplit("@", 1)
-    return SimCell(cfg=GPUConfig.small(), protocol=protocol,
-                   workload=workload, intensity=float(intensity), seed=1234,
-                   ts_overrides=(("lease_policy", policy),))
+def battery_key(golden_key: str) -> str:
+    """``RCC/bfs@0.25`` -> ``RCC/bfs/fixed@0.25``: battery keys keep the
+    policy segment they carried while the battery also ran the
+    retired policies; ``fixed`` was the paper's predictor."""
+    return golden_key.replace("@", "/fixed@")
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN["cells"]))
+#: Battery key -> the 60-cell golden's key for the same cell.
+BATTERY = {
+    battery_key(key): key for key in PAYLOADS["cells"]
+    if key.split("/")[0] in BATTERY_PROTOCOLS
+    and key.split("/")[1].rsplit("@", 1)[0] in BATTERY_WORKLOADS}
+
+
+@pytest.mark.parametrize("key", sorted(BATTERY))
 def test_flat_kernel_bit_identical(key):
     """Named for the retired flat kernel this golden once checked; it
-    now pins the only implementation of each protocol."""
-    expected = GOLDEN["cells"][key]
-    result = env_run_cell(cell_for(key))
+    now pins the only implementation of each protocol, sanitized."""
+    golden_key = BATTERY[key]
+    expected = PAYLOADS["cells"][golden_key]
+    result = run_cell(cell_for(golden_key), sanitize=True,
+                      trace_out=ENV.trace_out)
     assert result.mem_ops == expected["mem_ops"], \
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \
-        f"{key}: cycles drifted (protocol timing changed)"
+        f"{key}: cycles drifted under the sanitizer"
     assert payload_hash(result) == expected["payload_sha256"], \
-        f"{key}: result payload differs from the golden"
+        f"{key}: sanitized result payload differs from the golden"
 
 
 def test_golden_grid_shape():
-    """The golden grid is the full 3 x 4 x policies x 2 cross it claims."""
-    keys = GOLDEN["cells"].keys()
-    protocols = {k.split("/")[0] for k in keys}
-    workloads = {k.split("/")[1] for k in keys}
-    policies = {k.split("/")[2].rsplit("@", 1)[0] for k in keys}
-    assert protocols == {"RCC", "RCC-WO", "MESI"}
-    assert workloads == {"bfs", "stn", "dlb", "lud"}
-    assert policies == set(available_lease_policies())
-    assert len(keys) == 3 * 4 * len(policies) * 2
+    """The battery is the full 3 x 4 x 2 cross it claims."""
+    keys = BATTERY.keys()
+    assert {k.split("/")[0] for k in keys} == BATTERY_PROTOCOLS
+    assert {k.split("/")[1] for k in keys} == BATTERY_WORKLOADS
+    assert {k.split("/")[2] for k in keys} == {"fixed@0.25", "fixed@1.0"}
+    assert len(keys) == 3 * 4 * 2
 
 
 @pytest.mark.parametrize("protocol", sorted(STREAMS["streams"]))

@@ -1,12 +1,12 @@
-"""Golden-payload regression battery: ``fixed`` is bit-identical to HEAD.
+"""Golden-payload regression battery: the 60-cell payload golden.
 
-Every hash in ``tests/golden/fixed_policy_golden.json`` was captured at
-the commit *before* the pluggable lease-policy refactor (the last rev
-where the L2 called the monolithic ``LeasePredictor`` directly). The
-grid covers all six protocols x five workloads x two intensities on the
-small machine. Recomputing each cell and comparing payload SHA-256
-proves the strategy extraction changed *nothing observable* under the
-default policy — not cycles, not stats, not a single payload field.
+``tests/golden/fixed_policy_golden.json`` pins the result payload
+SHA-256, cycles and mem_ops of all six protocols x five workloads x two
+intensities on the small machine, every RCC lease sized by the paper's
+§III-E predictor (the file is named for the ``fixed`` lease policy, the
+name that predictor carried while the L2 could run others). Recomputing
+each cell and comparing payload SHA-256 proves a refactor changed
+*nothing observable* — not cycles, not stats, not a single payload field.
 
 If a deliberate behavior change lands later, regenerate the file with::
 
@@ -26,6 +26,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.exec import SimCell
+from repro.fuzz.cellfile import load_cell, save_cell
 from tests.conftest import env_run_cell
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -59,22 +60,27 @@ def test_fixed_policy_bit_identical(key):
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \
         f"{key}: cycles drifted (timing behavior changed)"
-    assert payload_hash(result) == expected["payload_sha256"], (
-        f"{key}: result payload differs from the pre-refactor golden — "
-        "the 'fixed' lease policy is no longer byte-identical to the "
-        "historical LeasePredictor")
+    assert payload_hash(result) == expected["payload_sha256"], \
+        f"{key}: result payload differs from the golden"
 
 
-def test_explicit_fixed_override_matches_default():
-    """Naming the default policy in ts_overrides changes nothing but the
-    cache key: the simulation output is identical."""
-    base = cell_for("RCC/bfs@0.25")
-    explicit = SimCell(cfg=base.cfg, protocol=base.protocol,
-                       workload=base.workload, intensity=base.intensity,
-                       seed=base.seed,
-                       ts_overrides=(("lease_policy", "fixed"),))
-    assert (env_run_cell(explicit).to_payload()
-            == env_run_cell(base).to_payload())
+def test_explicit_fixed_override_matches_default(tmp_path):
+    """A ``.cell`` that names the paper's rule explicitly (the top-level
+    ``"lease_policy": "fixed"`` of files written while the L2 could run
+    other policies) replays the default cell's golden payload."""
+    key = "RCC/bfs@0.25"
+    base = cell_for(key)
+    path = str(tmp_path / "explicit.cell")
+    save_cell(path, base, "small")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["lease_policy"] = "fixed"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    explicit, _ = load_cell(path)
+    assert explicit == base
+    assert payload_hash(env_run_cell(explicit)) == \
+        GOLDEN["cells"][key]["payload_sha256"]
 
 
 def test_golden_grid_shape():

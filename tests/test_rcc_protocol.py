@@ -180,7 +180,7 @@ def test_predictor_shortens_after_write_and_grows_on_renew(tiny_cfg):
     sim.run()
     bank = sim.proto.l2s[sim.amap.bank_of(0)]
     line = bank.cache.lookup(0)
-    assert bank.predictor.prediction(line) == tiny_cfg.ts.lease_min
+    assert bank.predictor.lease_for(line) == tiny_cfg.ts.lease_min
 
 
 def test_l2_eviction_folds_into_mnow(tiny_cfg):

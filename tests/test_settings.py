@@ -2,7 +2,7 @@
 parsed once, strictly, and reach the workers only as arguments.
 
 Covers the parser (defaults, every accepted value, every rejection), the
-three CLIs' one-line exit-2 error on bad input, the flags overriding the
+two CLIs' one-line exit-2 error on bad input, the flags overriding the
 environment, the sanitizer reaching every cell of a default-settings
 executor, and a source scan that keeps the environment boundary where it
 is.
@@ -22,8 +22,6 @@ from repro.exec import SimCell, SweepExecutor
 from repro.fuzz import cli as fuzz_cli
 from repro.fuzz.workloads import run_hostile_campaign
 from repro.harness import runner as runner_cli
-from repro.perf import cli as perf_cli
-from repro.perf.bench import run_lease_ablation
 from repro.sanitize.sanitizer import Sanitizer
 from repro.settings import (ENV_VARS, Settings, SettingsError, cli_parent,
                             cli_settings)
@@ -67,8 +65,6 @@ class TestFromEnv:
 CLIS = {
     "rcc-repro": (runner_cli.main, ["table1", "--quick", "--no-cache"]),
     "repro-fuzz": (fuzz_cli.main, ["--programs", "1"]),
-    "repro-perf": (perf_cli.main, ["--lease-ablation", "--quick",
-                                   "--out", "{tmp}/ablation.json"]),
 }
 
 #: The six retired switches, typos, a retired kernel switch, and values
@@ -94,12 +90,11 @@ BAD_ENV = [
 @pytest.mark.parametrize("name, value", BAD_ENV,
                          ids=[f"{n}={v}" for n, v in BAD_ENV])
 @pytest.mark.parametrize("prog", sorted(CLIS))
-def test_every_cli_rejects_bad_env(prog, name, value, monkeypatch, capsys,
-                                   tmp_path):
+def test_every_cli_rejects_bad_env(prog, name, value, monkeypatch, capsys):
     main, argv = CLIS[prog]
     monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exit_:
-        main([a.format(tmp=tmp_path) for a in argv])
+        main(argv)
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -124,7 +119,7 @@ def test_flags_override_the_environment(monkeypatch):
 def test_shared_flags_declared_once():
     """``--jobs``, ``--journal-dir`` and ``--resume`` come from the one
     parent parser in every CLI."""
-    for path in ("harness/runner.py", "fuzz/cli.py", "perf/cli.py"):
+    for path in ("harness/runner.py", "fuzz/cli.py"):
         text = (SRC / path).read_text()
         assert "parents=[cli_parent()]" in text, path
         for flag in ("--jobs", "--journal-dir", "--resume"):
@@ -137,8 +132,8 @@ def test_shared_flags_declared_once():
 
 def test_sanitize_reaches_every_default_executor_cell(monkeypatch):
     """With ``RCC_SANITIZE=1``, every cell a default-settings executor
-    runs — through ``run_cells``, the lease ablation, and the hostile
-    campaign with its benign reference — has a sanitizer attached."""
+    runs — through ``run_cells`` and the hostile campaign with its
+    benign reference — has a sanitizer attached."""
     monkeypatch.setenv("RCC_SANITIZE", "1")
     for name in ("RCC_JOBS", "RCC_CHAOS"):  # serial: the spy is in-process
         monkeypatch.delenv(name, raising=False)
@@ -155,13 +150,6 @@ def test_sanitize_reaches_every_default_executor_cell(monkeypatch):
              for p in ("RCC", "MESI")]
     SweepExecutor().run_cells(cells)
     assert attached == ["RCC", "MESI"]
-
-    del attached[:]
-    report = run_lease_ablation(quick=True, policies=["fixed"],
-                                workloads=["bfs"])
-    assert attached == ["RCC", "RCC-WO"]
-    assert report["provenance"]["settings"] == {
-        "jobs": 1, "sanitize": True, "chaos": None}
 
     del attached[:]
     result = run_hostile_campaign(
