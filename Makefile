@@ -6,7 +6,8 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench report report-par clean-cache chaos chaos-smoke
+        sanitize bench timing ab report report-par clean-cache chaos \
+        chaos-smoke
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -47,6 +48,13 @@ chaos:           ## full battery: every fault kind + resume round-trips
 
 bench:           ## paper figures/tables under pytest-benchmark
 	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only
+
+timing:          ## the calibrated per-layer benchmark (bench/README.md)
+	python3 bench/run.py
+
+ab:              ## interleaved A/B of this tree against REF=<sha>
+	@test -n "$(REF)" || { echo "usage: make ab REF=<sha>"; exit 2; }
+	python3 bench/ab.py $(REF)
 
 report:          ## regenerate every experiment with paper-vs-measured
 	$(PYPATH) $(PY) -m repro.harness.runner all

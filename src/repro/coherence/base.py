@@ -140,11 +140,10 @@ class L1ControllerBase:
 
     def send_to_l2(self, kind: MsgKind, addr: int, *, now: Optional[int] = None,
                    exp: Optional[int] = None, value: Any = None,
-                   meta: Optional[Dict[str, Any]] = None,
-                   warp_ref: Any = None) -> Message:
+                   meta: Optional[Dict[str, Any]] = None) -> Message:
         msg = Message(kind=kind, addr=self.block_of(addr), src=self.endpoint,
                       dst=self.l2_endpoint(addr), now=now, exp=exp,
-                      value=value, warp_ref=warp_ref, meta=meta or {})
+                      value=value, meta=meta or {})
         self.noc.send(msg)
         return msg
 
@@ -218,10 +217,10 @@ class L2ControllerBase:
              now: Optional[int] = None, exp: Optional[int] = None,
              ver: Optional[int] = None, value: Any = None,
              meta: Optional[Dict[str, Any]] = None,
-             warp_ref: Any = None, delay: int = 0) -> Message:
+             delay: int = 0) -> Message:
         msg = Message(kind=kind, addr=addr, src=self.endpoint, dst=dst,
                       now=now, exp=exp, ver=ver, value=value,
-                      warp_ref=warp_ref, meta=meta or {})
+                      meta=meta or {})
         if delay <= 0:
             self.noc.send(msg)
         else:

@@ -52,12 +52,11 @@ class Message:
     """
 
     __slots__ = ("kind", "addr", "src", "dst", "now", "exp", "ver", "value",
-                 "warp_ref", "_meta", "msg_id")
+                 "_meta", "msg_id")
 
     def __init__(self, kind: MsgKind, addr: int, src: Any, dst: Any,
                  now: Optional[int] = None, exp: Optional[int] = None,
                  ver: Optional[int] = None, value: Any = None,
-                 warp_ref: Any = None,
                  meta: Optional[Dict[str, Any]] = None):
         self.kind = kind
         self.addr = addr
@@ -67,7 +66,6 @@ class Message:
         self.exp = exp
         self.ver = ver
         self.value = value
-        self.warp_ref = warp_ref
         self._meta = meta
         self.msg_id = next(_msg_ids)
 

@@ -94,7 +94,7 @@ class GPUCore:
         #: warp attribute chain.
         self._busy = [0 if w.n_ops else _NEVER for w in self.warps]
         for t in traces:
-            t.validate(len(traces))
+            t.validate()
         self.l1 = None  # attached by the simulator after construction
         self.stats = CoreStats()
         self.record_log = record_log
@@ -387,7 +387,5 @@ class GPUCore:
                 return
         self._finished = True
         self.stats.done_cycle = now
-        for w in self.warps:
-            w.done_cycle = now
         if self._on_all_done is not None:
             self._on_all_done(self.core_id)

@@ -17,27 +17,56 @@ from typing import Iterable, List, Optional, Set
 from repro.common.types import MemOpKind
 from repro.errors import TraceError
 
+_MEM_KINDS = frozenset(k for k in MemOpKind if k.is_global_mem)
+_COMPUTE = MemOpKind.COMPUTE
 
-@dataclass(frozen=True)
+
 class TraceOp:
     """One trace instruction.
 
     ``addr`` is a byte address for memory ops, ``cycles`` the duration of a
     COMPUTE op, ``barrier_id`` distinguishes successive barriers.
+
+    A slotted record compared and hashed by value. It is immutable by
+    contract, not by enforcement: nothing may assign to an op after
+    construction. A guarding ``__setattr__`` would more than double the
+    cost of building one, and every cell builds hundreds of thousands.
     """
 
-    kind: MemOpKind
-    addr: Optional[int] = None
-    cycles: int = 0
-    barrier_id: int = 0
+    __slots__ = ("kind", "addr", "cycles", "barrier_id")
 
-    def __post_init__(self):
-        if self.kind.is_global_mem and self.addr is None:
-            raise TraceError(f"{self.kind} op requires an address")
-        if self.kind is MemOpKind.COMPUTE and self.cycles <= 0:
+    def __init__(self, kind: MemOpKind, addr: Optional[int] = None,
+                 cycles: int = 0, barrier_id: int = 0):
+        if addr is None and kind in _MEM_KINDS:
+            raise TraceError(f"{kind} op requires an address")
+        if kind is _COMPUTE and cycles <= 0:
             raise TraceError("COMPUTE op requires positive cycle count")
-        if self.addr is not None and self.addr < 0:
-            raise TraceError(f"negative address {self.addr}")
+        if addr is not None and addr < 0:
+            raise TraceError(f"negative address {addr}")
+        self.kind = kind
+        self.addr = addr
+        self.cycles = cycles
+        self.barrier_id = barrier_id
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.addr, self.cycles, self.barrier_id)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # Rebuild through __init__: slotted objects without a __dict__
+        # cannot be pickled at protocols 0 and 1 otherwise.
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        return (f"TraceOp(kind={self.kind!r}, addr={self.addr!r}, "
+                f"cycles={self.cycles!r}, barrier_id={self.barrier_id!r})")
 
 
 def load_op(addr: int) -> TraceOp:
@@ -90,7 +119,7 @@ class WarpTrace:
         return {(op.addr // block_bytes) * block_bytes
                 for op in self.ops if op.kind.is_global_mem}
 
-    def validate(self, n_warps_in_core: int) -> None:
+    def validate(self) -> None:
         """Sanity-check barrier matching: every warp in a core must reach
         barriers in the same order; we check ids are non-decreasing."""
         last = -1

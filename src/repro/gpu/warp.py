@@ -6,7 +6,7 @@ import itertools
 from typing import Any, List, Optional
 
 from repro.common.types import MemOpKind
-from repro.gpu.trace import TraceOp, WarpTrace
+from repro.gpu.trace import WarpTrace
 
 _op_seq = itertools.count()
 
@@ -72,8 +72,7 @@ class Warp:
 
     __slots__ = ("core_id", "warp_id", "idx", "trace", "ops", "n_ops", "pc",
                  "outstanding", "at_barrier", "fence_pending",
-                 "stall_start", "stall_blocker", "stall_record",
-                 "done_cycle", "completed_ops")
+                 "stall_start", "stall_blocker")
 
     def __init__(self, trace: WarpTrace):
         self.core_id = trace.core_id
@@ -98,22 +97,10 @@ class Warp:
         # SC-stall bookkeeping for the op currently blocked at issue.
         self.stall_start: Optional[int] = None
         self.stall_blocker: Optional[MemOpKind] = None
-        self.stall_record: Optional[MemOpRecord] = None
-        self.done_cycle: Optional[int] = None
-        self.completed_ops: List[MemOpRecord] = []
 
     @property
     def done(self) -> bool:
         return self.pc >= self.n_ops
-
-    def next_op(self) -> Optional[TraceOp]:
-        if self.done:
-            return None
-        return self.ops[self.pc]
-
-    @property
-    def oldest_outstanding(self) -> Optional[MemOpRecord]:
-        return self.outstanding[0] if self.outstanding else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Warp c{self.core_id}w{self.warp_id} pc={self.pc}/"

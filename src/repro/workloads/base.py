@@ -5,46 +5,56 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.common.types import MemOpKind
 from repro.config import GPUConfig
-from repro.gpu.trace import (
-    TraceOp,
-    WarpTrace,
-    atomic_op,
-    barrier_op,
-    compute_op,
-    fence_op,
-    load_op,
-    store_op,
-)
+from repro.gpu.trace import TraceOp, WarpTrace
 
 BLOCK = 128  # bytes per cache block; all generators address whole blocks
 
+# Bound once: a ``MemOpKind.X`` lookup costs about half as much as
+# building the op itself, and the builder methods run once per op.
+_LOAD = MemOpKind.LOAD
+_STORE = MemOpKind.STORE
+_ATOMIC = MemOpKind.ATOMIC
+_COMPUTE = MemOpKind.COMPUTE
+_FENCE = MemOpKind.FENCE
+_BARRIER = MemOpKind.BARRIER
+
 
 class TraceBuilder:
-    """Convenience wrapper for emitting ops into one warp's trace."""
+    """Convenience wrapper for emitting ops into one warp's trace.
+
+    Each method builds its :class:`TraceOp` directly (the op the matching
+    ``*_op`` helper of :mod:`repro.gpu.trace` would return) and appends it
+    through the op list's bound ``append``: every cell generates hundreds
+    of thousands of ops, and an extra frame per op is a measurable share
+    of set-up time.
+    """
+
+    __slots__ = ("trace", "_emit")
 
     def __init__(self, core_id: int, warp_id: int):
         self.trace = WarpTrace(core_id, warp_id)
-        self._barrier_seq = 0
+        self._emit = self.trace.ops.append
 
     def load(self, block_index: int) -> None:
-        self.trace.append(load_op(block_index * BLOCK))
+        self._emit(TraceOp(_LOAD, block_index * BLOCK))
 
     def store(self, block_index: int) -> None:
-        self.trace.append(store_op(block_index * BLOCK))
+        self._emit(TraceOp(_STORE, block_index * BLOCK))
 
     def atomic(self, block_index: int) -> None:
-        self.trace.append(atomic_op(block_index * BLOCK))
+        self._emit(TraceOp(_ATOMIC, block_index * BLOCK))
 
     def compute(self, cycles: int) -> None:
         if cycles > 0:
-            self.trace.append(compute_op(cycles))
+            self._emit(TraceOp(_COMPUTE, None, cycles))
 
     def fence(self) -> None:
-        self.trace.append(fence_op())
+        self._emit(TraceOp(_FENCE))
 
     def barrier(self, barrier_id: int) -> None:
-        self.trace.append(barrier_op(barrier_id))
+        self._emit(TraceOp(_BARRIER, barrier_id=barrier_id))
 
 
 class Workload:
@@ -77,11 +87,10 @@ class Workload:
     def generate(self, cfg: GPUConfig) -> List[List[WarpTrace]]:
         """Produce per-core, per-warp traces for ``cfg``'s machine shape."""
         out: List[List[WarpTrace]] = []
+        name_tag = sum(ord(ch) * (i + 1) for i, ch in enumerate(self.name))
         for core in range(cfg.n_cores):
             core_traces = []
             for warp in range(cfg.warps_per_core):
-                name_tag = sum(ord(ch) * (i + 1)
-                               for i, ch in enumerate(self.name))
                 rng = random.Random(
                     self.seed * 1_000_003 + name_tag * 7919
                     + core * 911 + warp * 31

@@ -122,7 +122,7 @@ def test_to_traces_maps_ops_one_to_one():
                 assert top.addr == FUZZ_BASE_ADDR + fop.slot * bb
     for row in traces:
         for t in row:
-            t.validate(cfg.warps_per_core)
+            t.validate()
 
 
 def test_to_traces_rejects_oversized_program():

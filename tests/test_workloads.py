@@ -36,7 +36,7 @@ def test_shapes_match_config(gen_cfg, name):
         assert len(core_traces) == gen_cfg.warps_per_core
         for t in core_traces:
             assert t.n_mem_ops > 0
-            t.validate(gen_cfg.warps_per_core)
+            t.validate()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
