@@ -6,8 +6,7 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench timing ab report report-par clean-cache chaos \
-        chaos-smoke
+        sanitize bench timing ab report report-par clean-cache chaos
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -37,14 +36,9 @@ hostile:         ## a deep hostile-lab campaign, archiving any finds
 	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 100 -v \
 	    --save-cells tests/corpus
 
-chaos-smoke:     ## chaos/journal unit batteries + fault-injection matrix
+chaos:           ## chaos contract battery + executor fault paths
 	$(PYPATH) $(PY) -m pytest -x -q tests/test_chaos.py \
-	    tests/test_journal.py tests/test_exec_fault.py
-	$(PYPATH) $(PY) -m repro.fuzz.cli --chaos --chaos-resume-kinds cells
-
-chaos:           ## full battery: every fault kind + resume round-trips
-	$(PYPATH) $(PY) -m repro.fuzz.cli --chaos
-	$(PYPATH) $(PY) -m pytest -x -q -m chaos
+	    tests/test_exec_fault.py
 
 bench:           ## paper figures/tables under pytest-benchmark
 	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only

@@ -1,11 +1,9 @@
 """Deterministic chaos layer for the sweep stack.
 
 :mod:`repro.chaos.plan` defines seeded :class:`FaultPlan` specs
-(``RCC_CHAOS`` or ``--chaos``) that a sweep executor injects at its
-worker, cache, and journal boundaries; :mod:`repro.chaos.campaign`
-asserts the executor's failure contract under such plans
-(``repro-fuzz --chaos``) and drives the kill-and-resume equivalence
-round-trips.
+(``RCC_CHAOS``) that a sweep executor injects at its worker and cache
+boundaries; :mod:`repro.chaos.campaign` holds the contract battery that
+asserts the executor's failure contract under such plans.
 """
 
 from repro.chaos.plan import (

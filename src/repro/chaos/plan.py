@@ -15,9 +15,8 @@ kind            site       effect
 ==============  =========  ====================================================
 ``crash``       worker     the worker process dies via ``os._exit`` (in a
                            forked child; in-process/serial execution raises
-                           :class:`ChaosCrash` instead, because killing the
-                           campaign's own process is the *campaign-kill*
-                           fault's job, not this one's)
+                           :class:`ChaosCrash` instead, because ``os._exit``
+                           there would end the campaign itself)
 ``hang``        worker     the worker sleeps past any reasonable timeout
                            (``hang-s``, default 30s)
 ``flaky``       worker     a transient :class:`ChaosFlaky` exception on
@@ -26,20 +25,14 @@ kind            site       effect
                            emulating a non-atomic write torn by a crash
 ``bit-flip``    cache      one byte of the committed cache entry is flipped,
                            emulating silent media corruption
-``enospc``      cache,     the write raises ``OSError(ENOSPC)`` — the cache
-                journal    skips the entry, the journal degrades to
-                           non-journaling with a surfaced warning
+``enospc``      cache      the write raises ``OSError(ENOSPC)`` — the cache
+                           counts the failure and skips the entry
 ==============  =========  ====================================================
 
-Plus the parent-side *campaign-kill* directive ``exit-after=N``: the
-campaign process ``os._exit``\\ s immediately after the N-th completed
-cell is journaled, emulating a SIGKILL at a deterministic point (the
-kill-and-resume batteries are built on it).
-
-Spec grammar (``RCC_CHAOS`` environment variable, or ``--chaos``)::
+Spec grammar (the ``RCC_CHAOS`` environment variable)::
 
     spec      := clause (";" clause)*
-    clause    := fault | "seed=" INT | "hang-s=" FLOAT | "exit-after=" INT
+    clause    := fault | "seed=" INT | "hang-s=" FLOAT
     fault     := kind [":" prob [":" mode]]
     kind      := "crash" | "hang" | "flaky" | "torn-write" | "bit-flip"
                  | "enospc"
@@ -53,11 +46,10 @@ as a structured failure). Examples::
     RCC_CHAOS="flaky:0.5;seed=7"            # half the cells flake once
     RCC_CHAOS="crash:0.3:always;seed=1"     # 30% of cells crash forever
     RCC_CHAOS="torn-write;bit-flip:0.5"     # hostile filesystem
-    RCC_CHAOS="exit-after=3"                # SIGKILL after 3 journaled cells
 
 A :class:`~repro.exec.SweepExecutor` hands one plan, parsed from its
 settings, to its worker wrapper (pickled into forked workers with each
-cell), its cache and its journal; with no plan every hook is skipped.
+cell) and its cache; with no plan every hook is skipped.
 """
 
 from __future__ import annotations
@@ -71,8 +63,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
 
-#: Exit code used by chaos-injected process deaths (worker ``crash`` and
-#: the parent-side ``exit-after`` campaign kill).
+#: Exit code of a worker process the ``crash`` fault kills.
 CHAOS_EXIT_CODE = 86
 
 FAULT_KINDS = ("crash", "hang", "flaky", "torn-write", "bit-flip", "enospc")
@@ -107,14 +98,11 @@ class FaultPlan:
     """A parsed, seeded chaos specification. See the module docstring."""
 
     def __init__(self, faults: Dict[str, FaultSpec], seed: int = 0,
-                 hang_s: float = 30.0, exit_after: Optional[int] = None,
-                 spec: str = ""):
+                 hang_s: float = 30.0, spec: str = ""):
         self.faults = dict(faults)
         self.seed = seed
         self.hang_s = hang_s
-        self.exit_after = exit_after
         self.spec = spec
-        self._completions = 0
         #: The campaign process, so the ``crash`` fault can tell a forked
         #: worker (safe to ``os._exit``) from the campaign itself (raise
         #: :class:`ChaosCrash` instead).
@@ -126,7 +114,6 @@ class FaultPlan:
         faults: Dict[str, FaultSpec] = {}
         seed = 0
         hang_s = 30.0
-        exit_after: Optional[int] = None
         for raw in spec.split(";"):
             clause = raw.strip()
             if not clause:
@@ -139,8 +126,6 @@ class FaultPlan:
                         seed = int(val)
                     elif key == "hang-s":
                         hang_s = float(val)
-                    elif key == "exit-after":
-                        exit_after = int(val)
                     else:
                         raise ChaosError(
                             f"unknown chaos directive {key!r} in {spec!r}")
@@ -171,8 +156,7 @@ class FaultPlan:
                 raise ChaosError(
                     f"chaos mode must be one of {_MODES}: {clause!r}")
             faults[kind] = FaultSpec(kind=kind, prob=prob, mode=mode)
-        return cls(faults, seed=seed, hang_s=hang_s, exit_after=exit_after,
-                   spec=spec)
+        return cls(faults, seed=seed, hang_s=hang_s, spec=spec)
 
     # ------------------------------------------------------------------
     def _draw(self, *parts) -> float:
@@ -217,14 +201,14 @@ class FaultPlan:
                 f"(attempt {attempt})")
 
     # ------------------------------------------------------------------
-    # Cache/journal-boundary faults
+    # Cache-boundary faults
     # ------------------------------------------------------------------
-    def check_write(self, site: str, identity: str) -> None:
+    def check_write(self, identity: str) -> None:
         """Raise ``OSError(ENOSPC)`` when the ``enospc`` fault fires for
-        this write (``site`` is ``"cache"`` or ``"journal"``)."""
-        if self.decide(site, "enospc", identity):
+        this cache write."""
+        if self.decide("cache", "enospc", identity):
             raise OSError(errno.ENOSPC,
-                          f"chaos: injected ENOSPC on {site} write "
+                          f"chaos: injected ENOSPC on cache write "
                           f"for {identity!r}")
 
     def corrupt_bytes(self, identity: str,
@@ -247,24 +231,10 @@ class FaultPlan:
         return data, None
 
     # ------------------------------------------------------------------
-    # Campaign-kill directive
-    # ------------------------------------------------------------------
-    def count_completion(self) -> None:
-        """Account one journaled cell completion; ``os._exit`` when the
-        ``exit-after`` budget is reached (a deterministic SIGKILL)."""
-        if self.exit_after is None:
-            return
-        self._completions += 1
-        if self._completions >= self.exit_after:
-            os._exit(CHAOS_EXIT_CODE)
-
-    # ------------------------------------------------------------------
     def describe(self) -> str:
         parts = [f"{f.kind}:{f.prob:g}:{f.mode}"
                  for f in self.faults.values()]
         parts.append(f"seed={self.seed}")
-        if self.exit_after is not None:
-            parts.append(f"exit-after={self.exit_after}")
         return ";".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover

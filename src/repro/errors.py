@@ -58,13 +58,9 @@ class DeadlockError(SimulationError):
 #: - ``poisoned-pool`` — the cell failed only because a *sibling* cell
 #:                       broke the shared pool and it could never be
 #:                       confirmed in isolation;
-#: - ``cache-corrupt`` — the journal's recorded result digest disagrees
-#:                       with the content-keyed cache (or an embedded
-#:                       journal payload failed integrity checks);
 #: - ``exception``     — the worker function raised an ordinary Python
 #:                       exception.
-FAILURE_KINDS = ("timeout", "crash", "poisoned-pool", "cache-corrupt",
-                 "exception")
+FAILURE_KINDS = ("timeout", "crash", "poisoned-pool", "exception")
 
 
 class CellFailure:
@@ -116,12 +112,6 @@ class HarnessError(ReproError):
         msg = (f"{len(failures)} cell(s) failed: "
                + "; ".join(f.describe() for f in failures))
         return cls(msg, failures=failures)
-
-
-class JournalError(ReproError):
-    """A campaign journal could not be used: wrong campaign id on an
-    explicit ``--resume``, an unreadable header, or an embedded payload
-    that failed its integrity digest."""
 
 
 class ConsistencyViolation(ReproError):

@@ -40,6 +40,7 @@ surfaced in the sweep summary line (:class:`repro.exec.engine.SweepStats`).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -48,7 +49,6 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.chaos import FaultPlan
-from repro.exec.journal import payload_digest
 from repro.sim.results import SimResult
 
 #: Default cache directory, relative to the working directory.
@@ -68,6 +68,18 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: crashed writer and are swept; younger ones may belong to a concurrent
 #: campaign mid-commit.
 STALE_TMP_AGE_S = 3600.0
+
+
+def payload_digest(payload: Any) -> str:
+    """sha256 over the canonical JSON form of a (JSON-able) payload.
+
+    Canonical = ``sort_keys`` with default separators, which is also
+    invariant under a JSON round-trip (int keys stringify, tuples become
+    lists *before* hashing), so the digest computed at write time matches
+    one recomputed from the loaded entry.
+    """
+    blob = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -152,7 +164,7 @@ class ResultCache:
         tmp = None
         try:
             if plan is not None:
-                plan.check_write("cache", key)
+                plan.check_write(key)
                 data, _fault = plan.corrupt_bytes(key, data)
             os.makedirs(self.root, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

@@ -22,23 +22,19 @@ what bounds iteration time. :class:`SweepExecutor` schedules such grids:
   :class:`~repro.errors.HarnessError` (never a raw
   ``BrokenProcessPool``), carrying one structured
   :class:`~repro.errors.CellFailure` per cell classified under the
-  ``timeout`` / ``crash`` / ``poisoned-pool`` / ``cache-corrupt`` /
-  ``exception`` taxonomy, with every other cell's result unaffected;
+  ``timeout`` / ``crash`` / ``poisoned-pool`` / ``exception`` taxonomy,
+  with every other cell's result unaffected;
 * results come back in submission order regardless of completion order,
   so downstream aggregation is order-deterministic.
 
-Layered on top are the content-keyed on-disk result cache
-(:mod:`repro.exec.cache`) — ``run_cells`` consults it before scheduling
-and fills it after computing — and the campaign journal
-(:mod:`repro.exec.journal`): with ``journal_dir``/``resume`` set, every
-finished cell is appended to an fsync'd JSONL journal the moment it
-completes, and an interrupted campaign restarts from its last completed
-cell. Journal replay must agree with the cache: a digest disagreement is
-surfaced as a ``cache-corrupt`` failure, never silently overwritten.
+Layered on top is the content-keyed on-disk result cache
+(:mod:`repro.exec.cache`): ``run_cells`` consults it before scheduling
+and writes each computed cell to it the moment the cell is collected,
+so a sweep killed mid-run re-runs only the cells it had not finished.
 
 Deterministic fault injection (:mod:`repro.chaos`): the executor hands
 one :class:`~repro.chaos.FaultPlan`, parsed from its settings, to the
-worker wrapper, the cache and the journal; with no plan they skip it.
+worker wrapper and the cache; with no plan they skip it.
 
 Determinism contract: the simulator is a deterministic function of the
 cell, and workers are forked replicas evaluating that same function, so
@@ -51,22 +47,16 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.chaos import ChaosCrash, FaultPlan
 from repro.errors import CellFailure, HarnessError
 from repro.exec.cache import ResultCache
 from repro.exec.cells import SimCell, cell_key, run_cell
-from repro.exec.journal import (
-    CampaignJournal, campaign_id, decode_value, encode_value,
-    payload_digest,
-)
-from repro.errors import JournalError
 from repro.settings import Settings
 from repro.sim.results import SimResult
 
@@ -141,8 +131,6 @@ class SweepStats:
     n_cells: int = 0
     n_cached: int = 0
     n_computed: int = 0
-    #: Cells replayed from a campaign journal instead of re-running.
-    n_replayed: int = 0
     retries: int = 0
     #: Shared-pool rebuilds after a worker death broke the pool.
     pool_rebuilds: int = 0
@@ -179,8 +167,6 @@ class SweepStats:
         parts = [f"{self.n_cells} cells"]
         if self.n_cached:
             parts.append(f"{self.n_cached} cached")
-        if self.n_replayed:
-            parts.append(f"{self.n_replayed} replayed")
         if self.retries:
             parts.append(f"{self.retries} retried")
         if self.pool_rebuilds:
@@ -206,116 +192,18 @@ class SweepStats:
         return line
 
 
-class _NullSink:
-    """Per-cell completion callbacks; the default does nothing."""
-
-    divergences: List[CellFailure] = []
-
-    def ok(self, batch_i: int, value: Any, elapsed: float,
-           attempts: int) -> None:
-        pass
-
-    def fail(self, batch_i: int, failure: CellFailure) -> None:
-        pass
+#: Per-cell completion callback: ``on_ok(i, value)``, run in the parent
+#: as the ``i``-th item's result is collected.
+OnOk = Callable[[int, Any], None]
 
 
-class _CellSink(_NullSink):
-    """``run_cells`` completion hook: cache fill + journal append, in
-    that order (so a journal ``ok`` record implies the cache entry is
-    already durable), plus digest cross-checking against any earlier
-    journal record for the same cell."""
-
-    def __init__(self, journal: Optional[CampaignJournal],
-                 cache: Optional[ResultCache], plan: Optional[FaultPlan],
-                 cells: Sequence[SimCell], seqs: Sequence[int],
-                 keys: Sequence[Optional[str]],
-                 expected: Dict[int, str]):
-        self.journal = journal
-        self.cache = cache
-        self.plan = plan
-        self.cells = cells
-        self.seqs = list(seqs)
-        self.keys = keys
-        self.expected = expected  # seq -> digest an earlier record pinned
-        self.divergences: List[CellFailure] = []
-
-    def ok(self, batch_i: int, value: Any, elapsed: float,
-           attempts: int) -> None:
-        seq = self.seqs[batch_i]
-        cell = self.cells[seq]
-        key = self.keys[seq] or ""
-        payload = value.to_payload() if hasattr(value, "to_payload") \
-            else value
-        digest = payload_digest(payload)
-        want = self.expected.get(seq)
-        if want and digest != want:
-            # The journal pinned a different result for this cell than
-            # the recompute produced: surface it, never overwrite.
-            failure = CellFailure(
-                cell.label, "cache-corrupt", attempts,
-                f"recomputed result digest {digest[:12]}... disagrees "
-                f"with the journal's recorded {want[:12]}... for key "
-                f"{key[:12]}... — nondeterminism or corruption; rotate "
-                f"the journal or clear the cache before resuming")
-            self.divergences.append(failure)
-            self.fail(batch_i, failure)
-            return
-        if self.cache is not None:
-            self.cache.put(key, value, cell={
-                "protocol": cell.protocol,
-                "workload": cell.workload,
-                "intensity": cell.intensity,
-                "seed": cell.seed,
-                "ts_overrides": list(cell.ts_overrides),
-            }, plan=self.plan)
-        if self.journal is not None:
-            embedded = (encode_value(payload)
-                        if self.cache is None else None)
-            self.journal.record_ok(seq, key, cell.label, digest,
-                                   elapsed, attempts, payload=embedded)
-
-    def fail(self, batch_i: int, failure: CellFailure) -> None:
-        if self.journal is not None:
-            seq = self.seqs[batch_i]
-            self.journal.record_failure(
-                seq, self.keys[seq] or "", failure.label, failure.kind,
-                failure.message, failure.attempts)
-
-
-class _MapSink(_NullSink):
-    """``map`` completion hook: journal append with the result embedded
-    (generic work items have no content-keyed cache to replay from)."""
-
-    def __init__(self, journal: Optional[CampaignJournal],
-                 seqs: Sequence[int], labels: Sequence[str]):
-        self.journal = journal
-        self.seqs = list(seqs)
-        self.labels = labels
-        self.divergences: List[CellFailure] = []
-
-    def ok(self, batch_i: int, value: Any, elapsed: float,
-           attempts: int) -> None:
-        if self.journal is None:
-            return
-        seq = self.seqs[batch_i]
-        embedded = encode_value(value)
-        self.journal.record_ok(seq, self.labels[seq], self.labels[seq],
-                               embedded["digest"], elapsed, attempts,
-                               payload=embedded)
-
-    def fail(self, batch_i: int, failure: CellFailure) -> None:
-        if self.journal is None:
-            return
-        seq = self.seqs[batch_i]
-        self.journal.record_failure(seq, self.labels[seq], failure.label,
-                                    failure.kind, failure.message,
-                                    failure.attempts)
+def _ignore(i: int, value: Any) -> None:
+    """The default :data:`OnOk`: nothing to do per cell."""
 
 
 class SweepExecutor:
-    """Runs batches of independent work items, optionally in parallel,
-    optionally through the on-disk result cache, and optionally under a
-    crash-safe campaign journal.
+    """Runs batches of independent work items, optionally in parallel and
+    optionally through the on-disk result cache.
 
     ``settings`` defaults to :meth:`Settings.from_env`. :attr:`run_cell`
     is the default ``worker``; a custom worker that runs cells takes it
@@ -327,14 +215,12 @@ class SweepExecutor:
                  timeout: Optional[float] = None,
                  worker: Callable[[SimCell], SimResult] = None,
                  on_summary: Optional[Callable[[str], None]] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 journal_dir: Optional[str] = None,
-                 resume: Optional[str] = None):
+                 retry: Optional[RetryPolicy] = None):
         if settings is None:
             settings = Settings.from_env()
         self.settings = settings
-        #: The one fault plan every worker, cache write and journal of
-        #: this executor shares (``exit-after`` counts across batches).
+        #: The one fault plan every worker and cache write of this
+        #: executor shares.
         self.plan = FaultPlan.parse(settings.chaos) if settings.chaos else None
         self.cache = cache
         self.timeout = timeout
@@ -345,121 +231,54 @@ class SweepExecutor:
         self.worker = worker if worker is not None else self.run_cell
         self.on_summary = on_summary
         self.retry = retry if retry is not None else RetryPolicy()
-        # --resume pointing at a directory is shorthand for journaling
-        # into it (auto-resume is content-keyed, so this just works).
-        if resume and os.path.isdir(resume):
-            journal_dir, resume = resume, None
-        self.journal_dir = journal_dir
-        self.resume = resume
         self.last_stats: Optional[SweepStats] = None
-        self.last_journal_path: Optional[str] = None
         #: Lifetime count of worker pools this executor constructed —
         #: the crash-amplification regression gate counts these.
         self.pools_built = 0
 
     # ------------------------------------------------------------------
-    # Journal plumbing
+    # Cell-level entry point (cache-aware)
     # ------------------------------------------------------------------
-    @property
-    def journaling(self) -> bool:
-        return bool(self.journal_dir or self.resume)
-
-    def _open_journal(self, tokens: Sequence[str], n_cells: int,
-                      meta: Optional[Dict[str, Any]],
-                      batch_kind: str) -> Optional[CampaignJournal]:
-        if not self.journaling or n_cells == 0:
-            return None
-        full_meta = dict(meta or {})
-        full_meta["batch"] = batch_kind
-        cid = campaign_id(tokens, full_meta)
-        if self.resume:
-            path, explicit = self.resume, True
-        else:
-            path = os.path.join(self.journal_dir,
-                                f"campaign-{cid[:16]}.jsonl")
-            explicit = False
-        journal = CampaignJournal.open(path, cid, n_cells, meta=full_meta,
-                                       explicit=explicit,
-                                       on_warning=self.on_summary,
-                                       plan=self.plan)
-        self.last_journal_path = path
-        return journal
-
-    # ------------------------------------------------------------------
-    # Cell-level entry point (cache- and journal-aware)
-    # ------------------------------------------------------------------
-    def run_cells(self, cells: Sequence[SimCell],
-                  meta: Optional[Dict[str, Any]] = None
-                  ) -> List[SimResult]:
+    def run_cells(self, cells: Sequence[SimCell]) -> List[SimResult]:
         """Run a batch of cells; results in input order.
 
-        Journal-completed cells are replayed (from the cache, or from
-        payloads embedded in the journal when no cache is attached);
-        cached cells are replayed from disk; the rest are scheduled on
-        the pool (or serially), written back to the cache, and journaled
-        as they finish. A digest disagreement between journal and cache
-        raises a ``cache-corrupt`` :class:`HarnessError` — the two
-        stores are never silently reconciled.
+        Cached cells are replayed from disk; the rest are scheduled on
+        the pool (or serially), and each is written back to the cache
+        as soon as it is collected, so a sweep killed mid-run keeps
+        every cell it finished.
         """
         t0 = time.perf_counter()
         cache = self.cache
-        counters0 = ((cache.hits, cache.misses, cache.evictions)
-                     if cache is not None else None)
         n = len(cells)
         results: List[Optional[SimResult]] = [None] * n
-        want_keys = cache is not None or self.journaling
-        keys: List[Optional[str]] = (
-            [cell_key(c) for c in cells] if want_keys else [None] * n)
-        journal = self._open_journal([k or "" for k in keys], n, meta,
-                                     "cells")
-        try:
-            replayed, expected, divergences = self._replay_from_journal(
-                journal, cells, keys, results)
-            if divergences:
-                raise HarnessError.from_failures(divergences)
+        keys: List[str] = []
+        if cache is not None:
+            counters0 = (cache.hits, cache.misses, cache.evictions)
+            keys = [cell_key(c) for c in cells]
+            results = [cache.get(key) for key in keys]
+        pending = [i for i in range(n) if results[i] is None]
 
-            cached = set()
-            for i in range(n):
-                if results[i] is None and cache is not None:
-                    hit = cache.get(keys[i])
-                    if hit is not None:
-                        results[i] = hit
-                        cached.add(i)
-                        if journal is not None and i not in replayed:
-                            # Adopt the foreign cache hit into this
-                            # campaign's journal so resume stops
-                            # depending on the (evictable) cache alone.
-                            self._journal_cache_hit(journal, i, cells[i],
-                                                    keys[i], hit,
-                                                    expected, divergences)
-            if divergences:
-                raise HarnessError.from_failures(divergences)
+        def store(j: int, value: SimResult) -> None:
+            i = pending[j]
+            cache.put(keys[i], value, cell={
+                "protocol": cells[i].protocol,
+                "workload": cells[i].workload,
+                "intensity": cells[i].intensity,
+                "seed": cells[i].seed,
+                "ts_overrides": list(cells[i].ts_overrides),
+            }, plan=self.plan)
 
-            pending = [i for i in range(n) if results[i] is None
-                       and i not in replayed]
-            sink = _CellSink(journal, cache, self.plan, cells, pending, keys,
-                             expected)
-            if pending:
-                computed = self._map([cells[i] for i in pending],
-                                     self.worker,
-                                     [cells[i].label for i in pending],
-                                     sink=sink)
-                for i, res in zip(pending, computed):
-                    results[i] = res
-            else:
-                self._map([], self.worker, [], sink=sink)
-            if sink.divergences:
-                raise HarnessError.from_failures(sink.divergences)
-        finally:
-            if journal is not None:
-                journal.close()
+        computed = self._map([cells[i] for i in pending], self.worker,
+                             [cells[i].label for i in pending],
+                             on_ok=store if cache is not None else _ignore)
+        for i, res in zip(pending, computed):
+            results[i] = res
 
         stats = self.last_stats
         stats.n_cells = n
-        stats.n_replayed = len(replayed)
-        stats.n_cached = len(cached)
+        stats.n_cached = n - len(pending)
         stats.wall = time.perf_counter() - t0
-        if counters0 is not None:
+        if cache is not None:
             stats.cache_hits = cache.hits - counters0[0]
             stats.cache_misses = cache.misses - counters0[1]
             stats.cache_evictions = cache.evictions - counters0[2]
@@ -467,127 +286,19 @@ class SweepExecutor:
             self.on_summary(stats.render())
         return results
 
-    def _replay_from_journal(self, journal: Optional[CampaignJournal],
-                             cells: Sequence[SimCell],
-                             keys: Sequence[Optional[str]],
-                             results: List[Optional[SimResult]]):
-        """Fill ``results`` from the journal's completed records.
-
-        Returns ``(replayed seqs, expected-digest map for cells that
-        must recompute, divergence failures)``.
-        """
-        replayed: set = set()
-        expected: Dict[int, str] = {}
-        divergences: List[CellFailure] = []
-        if journal is None:
-            return replayed, expected, divergences
-        cache = self.cache
-        for seq, rec in sorted(journal.completed().items()):
-            if rec.get("key") != keys[seq]:
-                continue
-            digest = rec.get("digest") or ""
-            if cache is not None:
-                hit = cache.get(keys[seq])
-                if hit is not None:
-                    have = payload_digest(hit.to_payload())
-                    if digest and have != digest:
-                        divergences.append(CellFailure(
-                            cells[seq].label, "cache-corrupt", 0,
-                            f"journal records digest {digest[:12]}... "
-                            f"but the cache holds {have[:12]}... for key "
-                            f"{(keys[seq] or '')[:12]}... — refusing to "
-                            f"pick a side; rotate the journal or clear "
-                            f"the cache entry"))
-                        continue
-                    results[seq] = hit
-                    replayed.add(seq)
-                    continue
-            embedded = rec.get("payload")
-            if embedded is not None:
-                try:
-                    payload = decode_value(embedded)
-                    res = SimResult.from_payload(payload)
-                except (JournalError, Exception):
-                    # Unusable embed: recompute, but hold the recompute
-                    # to the journaled digest.
-                    if digest:
-                        expected[seq] = digest
-                    continue
-                results[seq] = res
-                replayed.add(seq)
-                if cache is not None:
-                    # Backfill the evicted cache entry from the journal.
-                    self.cache.put(keys[seq], res, plan=self.plan)
-                continue
-            # Digest-only record whose cache entry is gone: the cell
-            # recomputes, pinned to the recorded digest.
-            if digest:
-                expected[seq] = digest
-        return replayed, expected, divergences
-
-    def _journal_cache_hit(self, journal: CampaignJournal, seq: int,
-                           cell: SimCell, key: Optional[str],
-                           hit: SimResult, expected: Dict[int, str],
-                           divergences: List[CellFailure]) -> None:
-        digest = payload_digest(hit.to_payload())
-        want = expected.pop(seq, None)
-        if want and want != digest:
-            divergences.append(CellFailure(
-                cell.label, "cache-corrupt", 0,
-                f"cache entry digest {digest[:12]}... disagrees with "
-                f"the journal's {want[:12]}... for key "
-                f"{(key or '')[:12]}..."))
-            return
-        journal.record_ok(seq, key or "", cell.label, digest, 0.0, 0,
-                          payload=None)
-
     # ------------------------------------------------------------------
     # Generic entry point (the fuzz campaigns use this directly)
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            labels: Optional[Sequence[str]] = None,
-            meta: Optional[Dict[str, Any]] = None) -> List[Any]:
+            labels: Optional[Sequence[str]] = None) -> List[Any]:
         """Apply ``fn`` to every item with the engine's scheduling policy
         (pool/serial, timeout, bounded backoff retries, HarnessError on
-        failure). Results are returned in input order.
-
-        With journaling enabled, each completed item's result is
-        embedded in the journal (JSON when possible, pickle otherwise)
-        and an interrupted campaign resumes from its last completed
-        item. ``meta`` distinguishes campaigns whose labels alone would
-        collide (seeds, knob sets, protocol lists).
-        """
+        failure). Results are returned in input order."""
         t0 = time.perf_counter()
         labels = (list(labels) if labels is not None
                   else [f"item[{i}]" for i in range(len(items))])
-        n = len(items)
-        results: List[Any] = [None] * n
-        replayed: set = set()
-        journal = self._open_journal(labels, n, meta, "map")
-        try:
-            if journal is not None:
-                for seq, rec in sorted(journal.completed().items()):
-                    if rec.get("label") != labels[seq]:
-                        continue
-                    embedded = rec.get("payload")
-                    if embedded is None:
-                        continue
-                    try:
-                        results[seq] = decode_value(embedded)
-                    except JournalError:
-                        continue
-                    replayed.add(seq)
-            pending = [i for i in range(n) if i not in replayed]
-            sink = _MapSink(journal, pending, labels)
-            computed = self._map([items[i] for i in pending], fn,
-                                 [labels[i] for i in pending], sink=sink)
-            for i, value in zip(pending, computed):
-                results[i] = value
-        finally:
-            if journal is not None:
-                journal.close()
-        self.last_stats.n_cells = n
-        self.last_stats.n_replayed = len(replayed)
+        results = self._map(items, fn, labels)
+        self.last_stats.n_cells = len(items)
         self.last_stats.wall = time.perf_counter() - t0
         if self.on_summary is not None:
             self.on_summary(self.last_stats.render())
@@ -597,26 +308,24 @@ class SweepExecutor:
     # Internals
     # ------------------------------------------------------------------
     def _map(self, items: Sequence[Any], fn: Callable[[Any], Any],
-             labels: Sequence[str],
-             sink: Optional[_NullSink] = None) -> List[Any]:
+             labels: Sequence[str], on_ok: OnOk = _ignore) -> List[Any]:
         jobs = max(1, self.settings.jobs)
         stats = SweepStats(jobs=jobs)
         self.last_stats = stats
-        sink = sink if sink is not None else _NullSink()
         if not items:
             return []
         if jobs <= 1:
-            return self._map_serial(items, fn, labels, stats, sink)
+            return self._map_serial(items, fn, labels, stats, on_ok)
         pool = self._make_pool(jobs)
         if pool is None:
             stats.mode = "serial-fallback"
-            return self._map_serial(items, fn, labels, stats, sink)
+            return self._map_serial(items, fn, labels, stats, on_ok)
         stats.mode = "fork-pool"
-        return self._map_pool(pool, items, fn, labels, stats, sink)
+        return self._map_pool(pool, items, fn, labels, stats, on_ok)
 
     def _map_serial(self, items: Sequence[Any], fn: Callable[[Any], Any],
                     labels: Sequence[str], stats: SweepStats,
-                    sink: _NullSink) -> List[Any]:
+                    on_ok: OnOk) -> List[Any]:
         out: List[Any] = []
         failures: List[CellFailure] = []
         for idx, (item, label) in enumerate(zip(items, labels)):
@@ -638,21 +347,19 @@ class SweepExecutor:
             if done:
                 stats.record_cell(elapsed, value)
                 out.append(value)
-                sink.ok(idx, value, elapsed, attempts)
+                on_ok(idx, value)
             else:
-                failure = CellFailure(
+                failures.append(CellFailure(
                     label, classify_exception(last, isolated=True),
-                    attempts, f"{type(last).__name__}: {last}")
-                failures.append(failure)
+                    attempts, f"{type(last).__name__}: {last}"))
                 out.append(None)
-                sink.fail(idx, failure)
         if failures:
             raise HarnessError.from_failures(failures)
         return out
 
     def _map_pool(self, pool, items: Sequence[Any],
                   fn: Callable[[Any], Any], labels: Sequence[str],
-                  stats: SweepStats, sink: _NullSink) -> List[Any]:
+                  stats: SweepStats, on_ok: OnOk) -> List[Any]:
         n = len(items)
         out: List[Any] = [None] * n
         attempts = [0] * n
@@ -694,7 +401,7 @@ class SweepExecutor:
                         continue
                     stats.record_cell(elapsed, value)
                     out[i] = value
-                    sink.ok(i, value, elapsed, attempts[i])
+                    on_ok(i, value)
                 pending = []
                 if broken:
                     # A dead worker poisons every un-collected future in
@@ -731,14 +438,14 @@ class SweepExecutor:
                 self._shutdown_pool(current, force=wedged)
 
         failures = self._retry_failed(retry_q, items, fn, labels, attempts,
-                                      broken_rounds, out, stats, sink)
+                                      broken_rounds, out, stats, on_ok)
         if failures:
             raise HarnessError.from_failures(failures)
         return out
 
     def _retry_failed(self, retry_q, items, fn, labels, attempts,
                       broken_rounds, out, stats: SweepStats,
-                      sink: _NullSink) -> List[CellFailure]:
+                      on_ok: OnOk) -> List[CellFailure]:
         """The isolated retry stage: each failed cell gets its remaining
         attempt budget, with exponential backoff between attempts, in a
         *shared* single-worker retry pool. Healthy cells that were only
@@ -791,7 +498,7 @@ class SweepExecutor:
                 if done:
                     stats.record_cell(elapsed, value)
                     out[i] = value
-                    sink.ok(i, value, elapsed, attempts[i])
+                    on_ok(i, value)
                     continue
                 kind = classify_exception(last, isolated=isolated_ran)
                 if (kind == "crash" and not isolated_ran
@@ -801,9 +508,8 @@ class SweepExecutor:
                 if first_exc is not None and first_exc is not last:
                     message += (f" (first attempt: "
                                 f"{type(first_exc).__name__}: {first_exc})")
-                failure = CellFailure(labels[i], kind, attempts[i], message)
-                failures.append(failure)
-                sink.fail(i, failure)
+                failures.append(
+                    CellFailure(labels[i], kind, attempts[i], message))
         finally:
             if pool is not None:
                 self._shutdown_pool(pool)

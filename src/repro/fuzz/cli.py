@@ -124,18 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-cliff", action="store_true",
                    help="with --workloads: exit non-zero on performance "
                         "cliffs too, not just violations")
-    # Crash safety: the chaos battery.
-    p.add_argument("--chaos", metavar="SPEC", nargs="?", const="battery",
-                   help="with a SPEC (e.g. 'flaky:0.5;seed=7'): run this "
-                        "campaign under the deterministic fault plan "
-                        "(same as RCC_CHAOS=SPEC); with no SPEC: run the "
-                        "chaos battery instead — the executor-contract "
-                        "plan matrix plus kill-and-resume round-trips "
-                        "for every campaign kind")
-    p.add_argument("--chaos-resume-kinds", default="all", metavar="KINDS",
-                   help="with bare --chaos: comma-separated campaign "
-                        "kinds for the kill-and-resume battery, 'all' "
-                        "(cells, litmus, hostile) or 'none'")
     return p
 
 
@@ -211,7 +199,7 @@ def _workloads_main(args, settings: Settings) -> int:
         config_name=args.config, regimes=args.regimes, runs=args.runs,
         seed=args.seed, protocols=protocols,
         cliff_ratio=args.cliff_ratio, stall_factor=args.stall_factor,
-        executor=_executor(args, settings), on_run=progress)
+        executor=SweepExecutor(settings), on_run=progress)
     print(result.render())
     if args.report:
         with open(args.report, "w") as fh:
@@ -241,10 +229,8 @@ def _workloads_main(args, settings: Settings) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Bare --chaos names the battery, not a fault-plan spec.
-    settings = cli_settings(
-        parser, args, sanitize=args.sanitize, trace_out=args.trace_out,
-        chaos=None if args.chaos == "battery" else args.chaos)
+    settings = cli_settings(parser, args, sanitize=args.sanitize,
+                            trace_out=args.trace_out)
     try:
         return _main(args, settings)
     except (ReproError, ValueError, OSError) as exc:
@@ -254,38 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def _chaos_battery_main(args, settings: Settings) -> int:
-    """Bare ``--chaos``: the contract battery + kill-and-resume trips."""
-    from repro.chaos.campaign import CHILD_KINDS, run_chaos_campaign
-
-    raw = args.chaos_resume_kinds
-    if raw == "all":
-        kinds: List[str] = list(CHILD_KINDS)
-    elif raw == "none":
-        kinds = []
-    else:
-        kinds = [s.strip() for s in raw.split(",") if s.strip()]
-        unknown = [k for k in kinds if k not in CHILD_KINDS]
-        if unknown:
-            print(f"repro-fuzz: unknown resume kind(s) {unknown}; choose "
-                  f"from {', '.join(CHILD_KINDS)}", file=sys.stderr)
-            return 2
-    outcomes = run_chaos_campaign(kill_resume=kinds,
-                                  sanitize=settings.sanitize)
-    failed = [o for o in outcomes if not o.ok]
-    print(f"[chaos battery: {len(outcomes)} scenario(s), "
-          f"{len(failed)} failing]")
-    return 1 if failed else 0
-
-
-def _executor(args, settings: Settings) -> SweepExecutor:
-    return SweepExecutor(settings, journal_dir=args.journal_dir,
-                         resume=args.resume)
-
-
 def _main(args, settings: Settings) -> int:
-    if args.chaos == "battery":
-        return _chaos_battery_main(args, settings)
     if args.workloads:
         return _workloads_main(args, settings)
     runner = _runner(args, settings)
@@ -304,7 +259,7 @@ def _main(args, settings: Settings) -> int:
     result = run_campaign(runner, seed=args.seed, n_programs=args.programs,
                           knobs=knobs, shrink=not args.no_shrink,
                           on_program=progress,
-                          executor=_executor(args, settings))
+                          executor=SweepExecutor(settings))
     print(result.render())
     for report in result.failures:
         print()

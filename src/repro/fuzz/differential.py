@@ -339,31 +339,20 @@ def run_campaign(runner: DifferentialRunner, seed: int, n_programs: int,
     tallies and failure reports — are identical to a serial run.
     Shrinking always happens in the parent (it is a sequential search).
 
-    A journaling executor (``journal_dir``/``--resume``) also routes the
-    serial case through :meth:`SweepExecutor.map`, so each program's
-    verdict lands in the campaign journal the moment it is checked and an
-    interrupted campaign resumes with zero re-checked programs. The
-    streaming generator below is reserved for plain serial runs — the
-    nightly 2000-program campaigns rely on never materializing every
-    verdict at once.
+    Serial runs stream: each verdict is checked, tallied and dropped in
+    turn, so the nightly 2000-program campaigns never hold every verdict
+    at once.
     """
     from repro.fuzz.shrink import shrink_program
 
     knobs = knobs or FuzzKnobs()
     result = CampaignResult(seed, n_programs, knobs)
     t0 = time.time()
-    if executor is not None and (executor.settings.jobs > 1
-                                 or executor.journaling):
-        import dataclasses
+    if executor is not None and executor.settings.jobs > 1:
         verdicts: Any = executor.map(
             _check_one, [(runner, seed + i, knobs)
                          for i in range(n_programs)],
-            labels=[f"program[{seed + i}]" for i in range(n_programs)],
-            meta={"campaign": "litmus-fuzz", "seed": seed,
-                  "n_programs": n_programs,
-                  "knobs": dataclasses.asdict(knobs),
-                  "protocols": sorted(ex.name
-                                      for ex in runner.executors)})
+            labels=[f"program[{seed + i}]" for i in range(n_programs)])
     else:
         verdicts = (runner.check_program(generate_program(seed + i, knobs))
                     for i in range(n_programs))

@@ -333,10 +333,7 @@ def run_hostile_campaign(
         functools.partial(_execute_hostile, run=executor.run_cell),
         list(BENIGN_CELLS) + [cell for _, cell in planned],
         labels=[f"benign:{cell.label}" for cell in BENIGN_CELLS]
-        + [f"{reg.name}:{cell.label}" for reg, cell in planned],
-        meta={"campaign": "hostile-workloads", "config": config_name,
-              "regimes": regimes, "runs": runs, "seed": seed,
-              "protocols": list(protocols)})
+        + [f"{reg.name}:{cell.label}" for reg, cell in planned])
 
     n_ref = len(BENIGN_CELLS)
     result = HostileCampaignResult(

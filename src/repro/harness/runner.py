@@ -110,8 +110,7 @@ def make_executor(args, settings: Settings) -> SweepExecutor:
     cache = (None if args.no_cache or settings.sanitize
              else ResultCache(settings.cache_dir))
     return SweepExecutor(settings, cache=cache, timeout=args.cell_timeout,
-                         on_summary=print, journal_dir=args.journal_dir,
-                         resume=args.resume)
+                         on_summary=print)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -5,9 +5,8 @@ is decided by one frozen :class:`Settings`. Each command-line entry point
 builds it once (:func:`cli_settings`: :meth:`Settings.from_env` with its
 flags laid over it) and hands it to :class:`~repro.exec.SweepExecutor`;
 below the executor every setting is a plain argument. Nothing else in the
-package reads the environment (except the chaos layer, to hand a child
-campaign its own copy), and nothing writes it. README.md tables each
-variable with its flag and default.
+package reads the environment, and nothing writes it. README.md tables
+each variable with its flag and default.
 
 Any other ``RCC_*`` name, or a value that does not parse, raises
 :class:`SettingsError`: a typo must fail loudly, not fall back to a
@@ -96,15 +95,6 @@ def cli_parent() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for independent simulation "
                         "cells (default: RCC_JOBS or 1 = serial)")
-    p.add_argument("--journal-dir", metavar="DIR", default=None,
-                   help="journal every sweep batch as an append-only JSONL "
-                        "campaign file in DIR; re-running the same command "
-                        "resumes from its last completed cell")
-    p.add_argument("--resume", metavar="PATH", default=None,
-                   help="resume from a specific campaign journal file "
-                        "(errors if it belongs to a different campaign), "
-                        "or from a journal directory (same as "
-                        "--journal-dir)")
     return p
 
 

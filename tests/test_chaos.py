@@ -14,13 +14,12 @@ import errno
 
 import pytest
 
-from repro.chaos import CHAOS_EXIT_CODE, FaultPlan
+from repro.chaos import FaultPlan
 from repro.chaos.campaign import DEFAULT_PLANS, _run_cache_plan, _run_map_plan
 from repro.chaos.plan import ChaosError
-from repro.config import GPUConfig
-from repro.exec import SimCell, SweepExecutor
+from repro.exec import SweepExecutor
 from repro.settings import Settings
-from tests.conftest import ENV, env_settings
+from tests.conftest import ENV
 
 
 class TestSpecGrammar:
@@ -28,17 +27,15 @@ class TestSpecGrammar:
         plan = FaultPlan.parse("flaky")
         spec = plan.faults["flaky"]
         assert (spec.prob, spec.mode) == (1.0, "first")
-        assert plan.seed == 0 and plan.exit_after is None
+        assert plan.seed == 0
 
     def test_full_clause_and_directives(self):
-        plan = FaultPlan.parse(
-            "crash:0.3:always;hang;seed=7;hang-s=2.5;exit-after=3")
+        plan = FaultPlan.parse("crash:0.3:always;hang;seed=7;hang-s=2.5")
         assert plan.faults["crash"].prob == 0.3
         assert plan.faults["crash"].mode == "always"
         assert "hang" in plan.faults
         assert plan.seed == 7
         assert plan.hang_s == 2.5
-        assert plan.exit_after == 3
 
     def test_empty_clauses_tolerated(self):
         plan = FaultPlan.parse(";flaky;;")
@@ -52,6 +49,7 @@ class TestSpecGrammar:
         "crash:notafloat",
         "seed=notanint",
         "exit-after=maybe",
+        "exit-after=3",             # the retired campaign-kill directive
         "turbo=1",                  # unknown directive
     ])
     def test_bad_specs_raise(self, bad):
@@ -119,14 +117,10 @@ class TestByteCorruption:
     def test_enospc_raises_with_errno(self):
         plan = FaultPlan.parse("enospc")
         with pytest.raises(OSError) as err:
-            plan.check_write("cache", "k")
+            plan.check_write("k")
         assert err.value.errno == errno.ENOSPC
         clean = FaultPlan.parse("flaky")
-        clean.check_write("cache", "k")  # no-op
-
-
-class _Killed(BaseException):
-    """Stands in for the ``os._exit`` of the campaign-kill fault."""
+        clean.check_write("k")  # no-op
 
 
 class TestEnvPlumbing:
@@ -140,27 +134,6 @@ class TestEnvPlumbing:
         plan = SweepExecutor(Settings(chaos="flaky;seed=5")).plan
         assert plan.seed == 5 and "flaky" in plan.faults
 
-    def test_exit_after_counts_across_batches(self, tmp_path, monkeypatch):
-        def fake_exit(code):
-            raise _Killed(code)
-
-        monkeypatch.setattr("repro.chaos.plan.os._exit", fake_exit)
-        cells = [SimCell(cfg=GPUConfig.small(), protocol=p, workload=w,
-                         intensity=0.05)
-                 for w in ("bfs", "stn") for p in ("RCC", "MESI")]
-        ex = SweepExecutor(env_settings(jobs=1, chaos="exit-after=3"),
-                           journal_dir=str(tmp_path),
-                           on_summary=lambda s: None)
-        assert len(ex.run_cells(cells[:2])) == 2
-        # The third journaled completion overall is the first of this
-        # batch: one plan counts across every batch of the executor.
-        with pytest.raises(_Killed) as killed:
-            ex.run_cells(cells[2:])
-        assert killed.value.args == (CHAOS_EXIT_CODE,)
-        with open(ex.last_journal_path) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 2  # the header and the killing completion
-
 
 class TestContractBattery:
     """One pytest case per battery plan: inject the fault, assert the
@@ -173,5 +146,5 @@ class TestContractBattery:
         if plan.mode == "cache":
             outcome = _run_cache_plan(plan, str(tmp_path), ENV.sanitize)
         else:
-            outcome = _run_map_plan(plan, str(tmp_path))
+            outcome = _run_map_plan(plan)
         assert outcome.ok, outcome.describe()

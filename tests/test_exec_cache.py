@@ -4,7 +4,9 @@ A cache hit must return the exact payload that was computed; any change
 to any key component must miss; and a damaged cache may cost time but
 never correctness (corrupt entries are evicted and recomputed). The
 warm-run test is the acceptance criterion: replaying a full sweep from
-cache completes in a small fraction of the cold wall-clock time.
+cache completes in a small fraction of the cold wall-clock time. The
+cache is also how a killed sweep resumes: every cell it finished is
+replayed, and only the rest run again.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ class TestCorruption:
         reloaded = json.loads(json.dumps(payload))
         assert payload_digest(payload) == payload_digest(reloaded)
 
+    def test_digest_invariant_under_int_key_round_trip(self):
+        # JSON turns int keys into strings; the digest must not notice.
+        payload = {"final_memory": {7: ["v", 1]}, "cycles": 9}
+        assert payload_digest(payload) == payload_digest(
+            json.loads(json.dumps(payload, default=str)))
+
     def test_corrupted_cell_recomputed_through_executor(self, tmp_path,
                                                         base_result):
         cache = ResultCache(str(tmp_path))
@@ -211,6 +219,46 @@ class TestCrashSafety:
         assert young.exists(), "a concurrent writer's tmp was destroyed"
         # The survivor is not treated as a cache entry.
         assert cache.get(cell_key(BASE)) is None
+
+
+class _Killed(BaseException):
+    """Stands in for SIGKILL: the executor catches only ``Exception``, so
+    nothing but ``finally`` blocks runs after it."""
+
+
+#: Four small-machine cells; the killing worker dies on the third.
+KILL_CELLS = [SimCell(cfg=GPUConfig.small(), protocol=p, workload=w,
+                      intensity=0.05)
+              for w in ("bfs", "stn") for p in ("RCC", "MESI")]
+
+
+def _dies_on_third(cell):
+    if cell == KILL_CELLS[2]:
+        raise _Killed(cell.label)
+    return env_run_cell(cell)
+
+
+class TestKilledSweep:
+    """A sweep killed mid-run keeps every cell it had collected: each is
+    written to the cache as it arrives, not after the batch returns, so
+    the re-run computes only the cells the killed run never finished."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rerun_computes_only_unfinished_cells(self, tmp_path, jobs):
+        clean = SweepExecutor(env_settings(jobs=1)).run_cells(KILL_CELLS)
+        killed = SweepExecutor(env_settings(jobs=jobs),
+                               cache=ResultCache(str(tmp_path)),
+                               worker=_dies_on_third)
+        with pytest.raises(_Killed):
+            killed.run_cells(KILL_CELLS)
+
+        rerun = SweepExecutor(env_settings(jobs=jobs),
+                              cache=ResultCache(str(tmp_path)))
+        got = rerun.run_cells(KILL_CELLS)
+        assert rerun.last_stats.n_cached == 2
+        assert rerun.last_stats.n_computed == 2
+        assert ([r.to_payload() for r in got]
+                == [r.to_payload() for r in clean])
 
 
 class TestSizeBound:

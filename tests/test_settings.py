@@ -103,6 +103,25 @@ def test_every_cli_rejects_bad_env(prog, name, value, monkeypatch, capsys):
     assert all(known in line for known in ENV_VARS)
 
 
+#: Flags of the retired campaign journal and chaos battery: argparse must
+#: refuse them rather than ignore them.
+RETIRED_FLAGS = [
+    ("rcc-repro", ["table1", "--journal-dir", "d"]),
+    ("repro-fuzz", ["--resume", "f"]),
+    ("repro-fuzz", ["--chaos"]),
+]
+
+
+@pytest.mark.parametrize("prog, argv", RETIRED_FLAGS,
+                         ids=[" ".join(argv) for _, argv in RETIRED_FLAGS])
+def test_retired_flags_exit_2(prog, argv, capsys):
+    main, _ = CLIS[prog]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_flags_override_the_environment(monkeypatch):
     monkeypatch.setenv("RCC_JOBS", "3")
     monkeypatch.setenv("RCC_SANITIZE", "1")
@@ -117,13 +136,11 @@ def test_flags_override_the_environment(monkeypatch):
 
 
 def test_shared_flags_declared_once():
-    """``--jobs``, ``--journal-dir`` and ``--resume`` come from the one
-    parent parser in every CLI."""
+    """``--jobs`` comes from the one parent parser in every CLI."""
     for path in ("harness/runner.py", "fuzz/cli.py"):
         text = (SRC / path).read_text()
         assert "parents=[cli_parent()]" in text, path
-        for flag in ("--jobs", "--journal-dir", "--resume"):
-            assert f'"{flag}"' not in text, (path, flag)
+        assert '"--jobs"' not in text, path
 
 
 # ----------------------------------------------------------------------
@@ -171,24 +188,14 @@ _CORE_LAYERS = ("sim", "gpu", "core", "coherence", "mem", "noc", "timing",
                 "sanitize")
 
 
-def _function_lines(path: pathlib.Path, name: str) -> range:
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return range(node.lineno, node.end_lineno + 1)
-    raise AssertionError(f"{name} not found in {path}")
-
-
-def test_environment_boundary(monkeypatch):
-    child_env = SRC / "chaos" / "campaign.py"
+def test_environment_boundary():
     settings = SRC / "settings.py"
-    allowed = {settings: range(1, len(settings.read_text()) + 1),
-               child_env: _function_lines(child_env, "_child_env")}
     readers, writers, core_imports = [], [], []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC)
         lines = path.read_text().splitlines()
         for no, line in enumerate(lines, 1):
-            if _ENV_USE.search(line) and no not in allowed.get(path, ()):
+            if _ENV_USE.search(line) and path != settings:
                 readers.append(f"{rel}:{no}")
             if _ENV_WRITE.search(line):
                 writers.append(f"{rel}:{no}")
@@ -203,8 +210,3 @@ def test_environment_boundary(monkeypatch):
     assert readers == [], "environment read outside repro/settings.py"
     assert writers == [], "something writes os.environ"
     assert core_imports == [], "a simulator layer imports repro.settings"
-    # The child-env builder hands a child exactly one RCC_* variable.
-    from repro.chaos.campaign import _child_env
-    monkeypatch.setenv("RCC_SANITIZE", "1")
-    env = _child_env("exit-after=2")
-    assert [k for k in env if k.startswith("RCC_")] == ["RCC_CHAOS"]
