@@ -6,7 +6,7 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench timing ab report report-par clean-cache chaos
+        sanitize bench timing ab report report-par clean-cache
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -35,10 +35,6 @@ hostile-smoke:   ## bounded hostile-workload knob fuzz (sanitized, ~1 min)
 hostile:         ## a deep hostile-lab campaign, archiving any finds
 	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 100 -v \
 	    --save-cells tests/corpus
-
-chaos:           ## chaos contract battery + executor fault paths
-	$(PYPATH) $(PY) -m pytest -x -q tests/test_chaos.py \
-	    tests/test_exec_fault.py
 
 bench:           ## paper figures/tables under pytest-benchmark
 	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only

@@ -16,7 +16,7 @@ matching commercial GPUs and the paper's setup.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.addresses import AddressMap
 from repro.common.messages import Message
@@ -24,7 +24,7 @@ from repro.common.types import AccessOutcome, MemOpKind, MsgKind
 from repro.config import GPUConfig
 from repro.errors import ProtocolError
 from repro.gpu.warp import MemOpRecord, Warp
-from repro.mem.cache_array import CacheArray, CacheLine
+from repro.mem.cache_array import CacheArray
 from repro.mem.dram import DRAMPartition
 from repro.mem.mshr import MSHRFile
 from repro.noc.crossbar import Crossbar

@@ -21,8 +21,6 @@ directory content lives in ``line.sharers`` at the L2.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.common.messages import Message
 from repro.common.types import AccessOutcome, L1State, L2State, MemOpKind, MsgKind
 from repro.coherence.base import L1ControllerBase, L2ControllerBase

@@ -26,7 +26,7 @@ acks can block same-cacheline stores from other warps).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.messages import Message
 from repro.common.types import AccessOutcome, L1State, L2State, MemOpKind, MsgKind

@@ -43,9 +43,11 @@ class MemOpKind(enum.Enum):
 class MsgKind(enum.Enum):
     """Coherence message kinds (union over all protocols).
 
-    ``GETS``/``WRITE``/``ATOMIC`` are L1→L2 requests; ``DATA``/``RENEW``/
-    ``ACK`` are L2→L1 responses (RCC/TC); ``INV``/``INV_ACK``/``RECALL`` are
-    MESI directory traffic; ``WBACK``/``FETCH``/``MEMDATA`` are L2↔DRAM.
+    ``GETS``/``GETX``/``WRITE``/``ATOMIC`` are L1→L2 requests;
+    ``DATA``/``RENEW``/``ACK`` are L2→L1 responses; ``INV``/``INV_ACK`` are
+    MESI directory traffic (a recall of an L2 victim is an ``INV`` with
+    ``meta["recall"]``); ``FLUSH`` is RCC's rollover flush. The L2 reaches
+    DRAM through :meth:`~repro.mem.dram.DRAMPartition.access`, not messages.
     """
 
     GETS = "GETS"
@@ -57,13 +59,7 @@ class MsgKind(enum.Enum):
     ACK = "ACK"
     INV = "INV"
     INV_ACK = "INV_ACK"
-    FENCE_REQ = "FENCE_REQ"  # TCW fence completion probe
-    FENCE_ACK = "FENCE_ACK"
-    WBACK = "WBACK"
-    FETCH = "FETCH"
-    MEMDATA = "MEMDATA"
     FLUSH = "FLUSH"          # rollover: L2 -> L1 flush request
-    FLUSH_ACK = "FLUSH_ACK"
 
     __hash__ = object.__hash__  # see MemOpKind.__hash__
 
@@ -129,7 +125,6 @@ _GLOBAL_MEM_KINDS = frozenset(
     (MemOpKind.LOAD, MemOpKind.STORE, MemOpKind.ATOMIC))
 _WRITE_KINDS = frozenset((MemOpKind.STORE, MemOpKind.ATOMIC))
 _DATA_KINDS = frozenset((
-    MsgKind.WRITE, MsgKind.ATOMIC, MsgKind.DATA, MsgKind.WBACK,
-    MsgKind.MEMDATA, MsgKind.GETX))
+    MsgKind.WRITE, MsgKind.ATOMIC, MsgKind.DATA, MsgKind.GETX))
 _STABLE_L1 = frozenset((L1State.I, L1State.V))
 _STABLE_L2 = frozenset((L2State.I, L2State.V))

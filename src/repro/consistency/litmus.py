@@ -25,7 +25,7 @@ exactly why the paper says TCW cannot implement SC).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.config import GPUConfig
 from repro.consistency.checker import is_init_value as _is_init

@@ -22,12 +22,6 @@ False, counts it in ``write_errors``, and the computed result flows back
 to the caller regardless — a sick cache never loses work. Stale ``.tmp``
 files from crashed writers are swept opportunistically.
 
-The deterministic chaos layer (:mod:`repro.chaos`) hooks the commit
-path: the ``enospc`` fault makes the write fail, and ``torn-write`` /
-``bit-flip`` damage the bytes being committed — which the digest check
-must then catch on the next read. The sweep executor passes its fault
-plan to :meth:`ResultCache.put`; without one these hooks are skipped.
-
 The cache is size-bounded: after each write the directory is trimmed to
 at most ``max_entries`` files and ``max_bytes`` total payload,
 oldest-mtime entries first (content-addressed entries have no better
@@ -48,7 +42,6 @@ import tempfile
 import time
 from typing import Any, Dict, Optional
 
-from repro.chaos import FaultPlan
 from repro.sim.results import SimResult
 
 #: Default cache directory, relative to the working directory.
@@ -136,8 +129,7 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: SimResult,
-            cell: Optional[Dict[str, Any]] = None,
-            plan: Optional[FaultPlan] = None) -> bool:
+            cell: Optional[Dict[str, Any]] = None) -> bool:
         """Store ``result`` under ``key``; returns False when skipped or
         the write failed.
 
@@ -148,7 +140,6 @@ class ResultCache:
         Write failures (``OSError``: disk full, read-only cache, ...) are
         counted and swallowed — the caller already holds the computed
         result, and a cache that cannot persist it must not lose it.
-        ``plan`` injects the chaos layer's storage faults into the write.
         """
         if result.op_logs:
             return False
@@ -163,9 +154,6 @@ class ResultCache:
         data = json.dumps(blob).encode("utf-8")
         tmp = None
         try:
-            if plan is not None:
-                plan.check_write(key)
-                data, _fault = plan.corrupt_bytes(key, data)
             os.makedirs(self.root, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             with os.fdopen(fd, "wb") as f:

@@ -32,10 +32,6 @@ Layered on top is the content-keyed on-disk result cache
 and writes each computed cell to it the moment the cell is collected,
 so a sweep killed mid-run re-runs only the cells it had not finished.
 
-Deterministic fault injection (:mod:`repro.chaos`): the executor hands
-one :class:`~repro.chaos.FaultPlan`, parsed from its settings, to the
-worker wrapper and the cache; with no plan they skip it.
-
 Determinism contract: the simulator is a deterministic function of the
 cell, and workers are forked replicas evaluating that same function, so
 ``jobs=N`` produces results identical to serial execution — the
@@ -53,7 +49,6 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.chaos import ChaosCrash, FaultPlan
 from repro.errors import CellFailure, HarnessError
 from repro.exec.cache import ResultCache
 from repro.exec.cells import SimCell, cell_key, run_cell
@@ -63,19 +58,9 @@ from repro.sim.results import SimResult
 _TIMEOUT_EXCS = (TimeoutError, FuturesTimeout)
 
 
-def _timed_call(fn: Callable[[Any], Any], item: Any,
-                label: Optional[str] = None, attempt: int = 1,
-                plan: Optional[FaultPlan] = None) -> Tuple[float, Any]:
+def _timed_call(fn: Callable[[Any], Any], item: Any) -> Tuple[float, Any]:
     """Worker-side wrapper: run one item and report its wall time (module
-    level so it pickles by reference into worker processes).
-
-    This is also the chaos layer's worker boundary: when ``plan`` names
-    worker faults, they fire here — in whatever process is about to
-    evaluate the cell — keyed deterministically by the cell's label and
-    attempt number.
-    """
-    if plan is not None and label is not None:
-        plan.fire_worker(label, attempt)
+    level so it pickles by reference into worker processes)."""
     t0 = time.perf_counter()
     out = fn(item)
     return time.perf_counter() - t0, out
@@ -89,8 +74,6 @@ def classify_exception(exc: BaseException, isolated: bool = True) -> str:
     observed only as shared-pool collateral is ``poisoned-pool``, while
     a pool the cell broke all by itself is a confirmed ``crash``.
     """
-    if isinstance(exc, ChaosCrash):
-        return "crash"
     if isinstance(exc, _TIMEOUT_EXCS):
         return "timeout"
     if isinstance(exc, BrokenExecutor):
@@ -219,9 +202,6 @@ class SweepExecutor:
         if settings is None:
             settings = Settings.from_env()
         self.settings = settings
-        #: The one fault plan every worker and cache write of this
-        #: executor shares.
-        self.plan = FaultPlan.parse(settings.chaos) if settings.chaos else None
         self.cache = cache
         self.timeout = timeout
         #: :func:`~repro.exec.cells.run_cell` with the settings' sanitizer
@@ -266,7 +246,7 @@ class SweepExecutor:
                 "intensity": cells[i].intensity,
                 "seed": cells[i].seed,
                 "ts_overrides": list(cells[i].ts_overrides),
-            }, plan=self.plan)
+            })
 
         computed = self._map([cells[i] for i in pending], self.worker,
                              [cells[i].label for i in pending],
@@ -338,8 +318,7 @@ class SweepExecutor:
                     time.sleep(self.retry.delay(attempts))
                 attempts += 1
                 try:
-                    elapsed, value = _timed_call(fn, item, label, attempts,
-                                                 self.plan)
+                    elapsed, value = _timed_call(fn, item)
                     done = True
                     break
                 except Exception as exc:
@@ -379,8 +358,7 @@ class SweepExecutor:
                     attempts[i] += 1
                     try:
                         futs.append((i, current.submit(
-                            _timed_call, fn, items[i], labels[i],
-                            attempts[i], self.plan)))
+                            _timed_call, fn, items[i])))
                     except BrokenExecutor as exc:
                         # A just-submitted cell killed its worker before
                         # the batch finished submitting; the rest of the
@@ -470,14 +448,10 @@ class SweepExecutor:
                         if pool is None:
                             pool = self._make_pool(1)
                         if pool is None:  # mp unavailable: in-process
-                            elapsed, value = _timed_call(
-                                fn, items[i], labels[i], attempts[i],
-                                self.plan)
+                            elapsed, value = _timed_call(fn, items[i])
                         else:
                             try:
-                                fut = pool.submit(_timed_call, fn,
-                                                  items[i], labels[i],
-                                                  attempts[i], self.plan)
+                                fut = pool.submit(_timed_call, fn, items[i])
                                 elapsed, value = fut.result(
                                     timeout=self.timeout)
                             except _TIMEOUT_EXCS:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.gpu.trace import WarpTrace
 from repro.fuzz.generator import FuzzProgram

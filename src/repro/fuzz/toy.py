@@ -22,7 +22,7 @@ catch a broken protocol.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.types import MemOpKind
 from repro.fuzz.generator import FuzzProgram

@@ -36,8 +36,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.coherence.registry import available_protocols
 from repro.config import GPUConfig, named_config
-from repro.errors import InvariantViolation, ReproError
+from repro.errors import ConfigError, InvariantViolation, ReproError
 from repro.exec.cells import SimCell, canonical_overrides, derive_seed, \
     run_cell
 from repro.exec.engine import SweepExecutor
@@ -322,9 +323,14 @@ def run_hostile_campaign(
     ``executor.map`` call. Every cell executes with invariant checking
     on, whatever the executor's settings; the default executor takes the
     environment's settings but runs serially, so throughput cliffs can be
-    judged.
+    judged. An unknown regime or protocol raises before any cell runs.
     """
     regime_list = select_regimes(regimes)
+    known = available_protocols()
+    for name in protocols:
+        if name not in known:
+            raise ConfigError(
+                f"unknown protocol {name!r}; choose from {known}")
     cfg = named_config(config_name)
     planned = plan_cells(regime_list, runs, seed, cfg, protocols)
     executor = executor or SweepExecutor(replace(Settings.from_env(), jobs=1))

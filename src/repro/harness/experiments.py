@@ -14,7 +14,7 @@ from __future__ import annotations
 from statistics import geometric_mean
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.config import GPUConfig, PROTOCOLS
+from repro.config import GPUConfig
 from repro.exec import SimCell, SweepExecutor, canonical_overrides
 from repro.harness.complexity import table_v_rows
 from repro.harness.tables import render_table

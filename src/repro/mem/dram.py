@@ -15,7 +15,7 @@ Each partition also owns the RCC "memory time" ``mnow`` — the maximum
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.config import DRAMConfig
 from repro.timing.engine import Engine

@@ -48,9 +48,9 @@ class TrafficStats:
         """Paper-style traffic classes: load data, store data, control."""
         groups = {"load_data": 0, "store_data": 0, "control": 0, "renew": 0}
         for kind, flits in self.flits_by_kind.items():
-            if kind in (MsgKind.DATA, MsgKind.MEMDATA):
+            if kind is MsgKind.DATA:
                 groups["load_data"] += flits
-            elif kind in (MsgKind.WRITE, MsgKind.ATOMIC, MsgKind.WBACK, MsgKind.GETX):
+            elif kind in (MsgKind.WRITE, MsgKind.ATOMIC, MsgKind.GETX):
                 groups["store_data"] += flits
             elif kind is MsgKind.RENEW:
                 groups["renew"] += flits

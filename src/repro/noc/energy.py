@@ -13,7 +13,7 @@ All values are in arbitrary energy units (aeu); figures normalize to MESI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.noc.crossbar import TrafficStats

@@ -1,12 +1,12 @@
-"""Run settings: the five ``RCC_*`` environment variables, read once.
+"""Run settings: the four ``RCC_*`` environment variables, read once.
 
-Whether a sweep runs in parallel, sanitized, cached or under a fault plan
-is decided by one frozen :class:`Settings`. Each command-line entry point
-builds it once (:func:`cli_settings`: :meth:`Settings.from_env` with its
-flags laid over it) and hands it to :class:`~repro.exec.SweepExecutor`;
-below the executor every setting is a plain argument. Nothing else in the
-package reads the environment, and nothing writes it. README.md tables
-each variable with its flag and default.
+Whether a sweep runs in parallel, sanitized or cached is decided by one
+frozen :class:`Settings`. Each command-line entry point builds it once
+(:func:`cli_settings`: :meth:`Settings.from_env` with its flags laid over
+it) and hands it to :class:`~repro.exec.SweepExecutor`; below the
+executor every setting is a plain argument. Nothing else in the package
+reads the environment, and nothing writes it. README.md tables each
+variable with its flag and default.
 
 Any other ``RCC_*`` name, or a value that does not parse, raises
 :class:`SettingsError`: a typo must fail loudly, not fall back to a
@@ -22,12 +22,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.chaos.plan import ChaosError, FaultPlan
 from repro.errors import ReproError
 
 #: The settable variables, in the order error messages list them.
-ENV_VARS = ("RCC_JOBS", "RCC_CACHE_DIR", "RCC_SANITIZE", "RCC_TRACE_OUT",
-            "RCC_CHAOS")
+ENV_VARS = ("RCC_JOBS", "RCC_CACHE_DIR", "RCC_SANITIZE", "RCC_TRACE_OUT")
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -52,8 +50,6 @@ class Settings:
     sanitize: bool = False
     #: With ``sanitize``: where to dump the last events on a violation.
     trace_out: Optional[str] = None
-    #: A fault-plan spec (:mod:`repro.chaos.plan`); None injects nothing.
-    chaos: Optional[str] = None
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None
@@ -76,17 +72,10 @@ class Settings:
             raise SettingsError(
                 f"RCC_SANITIZE={raw_sanitize!r} is not one of "
                 f"{', '.join(_TRUE + _FALSE[1:])}")
-        chaos = env.get("RCC_CHAOS") or None
-        if chaos:
-            try:
-                FaultPlan.parse(chaos)
-            except ChaosError as exc:
-                raise SettingsError(f"RCC_CHAOS: {exc}") from None
         return cls(jobs=jobs,
                    cache_dir=env.get("RCC_CACHE_DIR") or None,
                    sanitize=raw_sanitize in _TRUE,
-                   trace_out=env.get("RCC_TRACE_OUT") or None,
-                   chaos=chaos)
+                   trace_out=env.get("RCC_TRACE_OUT") or None)
 
 
 def cli_parent() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ that fully names the mutated run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple, Type
 
 from repro.errors import ConfigError

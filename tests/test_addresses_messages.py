@@ -65,7 +65,7 @@ class TestMessageFlits:
     @pytest.mark.parametrize("kind,carries", [
         (MsgKind.GETS, False), (MsgKind.ACK, False), (MsgKind.INV, False),
         (MsgKind.INV_ACK, False), (MsgKind.DATA, True), (MsgKind.WRITE, True),
-        (MsgKind.ATOMIC, True), (MsgKind.GETX, True), (MsgKind.WBACK, True),
+        (MsgKind.ATOMIC, True), (MsgKind.GETX, True),
     ])
     def test_carries_data_matrix(self, kind, carries):
         assert kind.carries_data is carries

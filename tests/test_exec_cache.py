@@ -11,6 +11,7 @@ replayed, and only the rest run again.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -74,7 +75,6 @@ class TestRoundTrip:
 class TestKeying:
     def test_every_component_changes_the_key(self):
         base = cell_key(BASE)
-        import dataclasses
         variants = [
             dataclasses.replace(BASE, protocol="TCW"),
             dataclasses.replace(BASE, workload="bfs"),
@@ -161,22 +161,34 @@ class TestCorruption:
 
     def test_corrupted_cell_recomputed_through_executor(self, tmp_path,
                                                         base_result):
+        def truncate(blob):
+            return "{\"truncated\": tru"
+
+        def alter_a_value(blob):  # valid JSON; only the digest sees it
+            doc = json.loads(blob)
+            doc["result"]["cycles"] += 1
+            return json.dumps(doc)
+
         cache = ResultCache(str(tmp_path))
         ex = SweepExecutor(env_settings(jobs=1), cache=cache)
         first = ex.run_cells([BASE])[0]
         path = cache.path_for(cell_key(BASE))
-        with open(path, "w") as f:
-            f.write("{\"truncated\": tru")
-        again = SweepExecutor(env_settings(jobs=1),
-                              cache=ResultCache(str(tmp_path)))
-        second = again.run_cells([BASE])[0]
-        assert second.to_payload() == first.to_payload()
-        assert again.last_stats.n_computed == 1
-        # ... and the recomputed result was re-cached, valid this time.
-        third = SweepExecutor(env_settings(jobs=1),
-                              cache=ResultCache(str(tmp_path)))
-        assert third.run_cells([BASE])[0].to_payload() == first.to_payload()
-        assert third.last_stats.n_cached == 1
+        for damage in (truncate, alter_a_value):
+            with open(path) as f:
+                blob = f.read()
+            with open(path, "w") as f:
+                f.write(damage(blob))
+            again = SweepExecutor(env_settings(jobs=1),
+                                  cache=ResultCache(str(tmp_path)))
+            second = again.run_cells([BASE])[0]
+            assert second.to_payload() == first.to_payload(), damage
+            assert again.last_stats.n_computed == 1, damage
+            # ... and the recomputed result was re-cached, valid this time.
+            third = SweepExecutor(env_settings(jobs=1),
+                                  cache=ResultCache(str(tmp_path)))
+            assert (third.run_cells([BASE])[0].to_payload()
+                    == first.to_payload()), damage
+            assert third.last_stats.n_cached == 1, damage
 
     def test_clear_removes_everything(self, tmp_path, base_result):
         cache, key, path = self._cached(tmp_path, base_result)
@@ -198,6 +210,20 @@ class TestCrashSafety:
         assert cache.put(cell_key(BASE), base_result) is False
         assert cache.write_errors == 1
         assert blocker.read_text() == "in the way"
+
+    def test_unwritable_cache_returns_clean_payloads(self, tmp_path,
+                                                     base_result):
+        # Every write fails (the root is a file); the sweep still
+        # returns exactly what a cache-less run computes.
+        cells = [BASE, dataclasses.replace(BASE, protocol="MESI")]
+        clean = SweepExecutor(env_settings(jobs=1)).run_cells(cells)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        cache = ResultCache(str(blocker))
+        got = SweepExecutor(env_settings(jobs=1), cache=cache).run_cells(cells)
+        assert ([r.to_payload() for r in got]
+                == [r.to_payload() for r in clean])
+        assert cache.write_errors == len(cells)
 
     def test_no_tmp_debris_after_successful_put(self, tmp_path,
                                                 base_result):

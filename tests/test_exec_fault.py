@@ -1,15 +1,18 @@
 """Fault paths of the sweep executor: hangs, crashes, fallback, CLI.
 
-A wedged or crashing worker must cost a bounded number of attempts
-(:class:`~repro.exec.RetryPolicy`), then surface as a clean
-:class:`~repro.errors.HarnessError` carrying structured
-:class:`~repro.errors.CellFailure` records — never a bare
+A worker that fails once (raises, hangs past the timeout, or dies as the
+only crasher of its batch) must be absorbed by the retries, with every
+result back in input order. A wedged or crashing worker must cost a
+bounded number of attempts (:class:`~repro.exec.RetryPolicy`), then
+surface as a clean :class:`~repro.errors.HarnessError` carrying
+structured :class:`~repro.errors.CellFailure` records — never a bare
 ``BrokenProcessPool`` — and a failing experiment must not abort the rest
 of an ``rcc-repro all`` run. One worker death must cost one pool
 rebuild, not one isolated pool per innocent sibling cell.
 
 The worker functions live at module level so the fork-based pool can
-pickle them by reference.
+pickle them by reference. The fail-once workers remember their first
+call in a sentinel file, which every worker process can see.
 """
 
 from __future__ import annotations
@@ -48,11 +51,38 @@ def _die_if_zero_worker(item):
     return item * 2
 
 
+def _first_call(sentinel):
+    """True the first time any process passes ``sentinel`` (a path)."""
+    if sentinel is None or os.path.exists(sentinel):
+        return False
+    open(sentinel, "w").close()
+    return True
+
+
 def _flaky_worker(path):
-    if not os.path.exists(path):
-        open(path, "w").close()
+    if _first_call(path):
         raise RuntimeError("first attempt fails")
     return "ok"
+
+
+def _crash_once_worker(item):
+    x, sentinel = item
+    if _first_call(sentinel):
+        os._exit(3)
+    return x * 2
+
+
+def _hang_once_worker(item):
+    x, sentinel = item
+    if _first_call(sentinel):
+        time.sleep(60)
+    return x * 2
+
+
+def _once_items(tmp_path, n, faulty):
+    """``n`` items ``(x, sentinel)``; only item ``faulty`` has a sentinel."""
+    return [(x, str(tmp_path / "sentinel") if x == faulty else None)
+            for x in range(n)]
 
 
 def _echo_worker(item):
@@ -97,10 +127,12 @@ class TestTimeoutAndRetry:
         assert failure.attempts == 3
 
     def test_transient_failure_recovers_on_retry(self, tmp_path):
-        sentinel = str(tmp_path / "sentinel")
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
-        assert ex.map(_flaky_worker, [sentinel]) == ["ok"]
-        assert ex.last_stats.retries == 1
+        for jobs in (1, 2):
+            sentinel = str(tmp_path / f"sentinel-{jobs}")
+            ex = SweepExecutor(env_settings(jobs=jobs), timeout=30.0,
+                               retry=FAST2)
+            assert ex.map(_flaky_worker, [sentinel]) == ["ok"], jobs
+            assert ex.last_stats.retries == 1, jobs
 
     def test_serial_failure_also_wrapped(self):
         ex = SweepExecutor(env_settings(jobs=1), retry=FAST2)
@@ -148,6 +180,15 @@ class TestPoolRebuild:
             f"among {len(items)} cells")
         assert ex.last_stats.pool_rebuilds >= 1
 
+    def test_crash_once_recovers_in_order(self, tmp_path):
+        # Exactly one crasher: a collateral pool break counts against a
+        # cell's attempts, so several crashers could leave a healthy
+        # cell at its last attempt before it ever ran.
+        items = _once_items(tmp_path, 6, faulty=2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        assert ex.map(_crash_once_worker, items) == [0, 2, 4, 6, 8, 10]
+        assert ex.last_stats.pool_rebuilds >= 1
+
     def test_healthy_siblings_complete_despite_crasher(self):
         ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
         with pytest.raises(HarnessError) as err:
@@ -186,6 +227,16 @@ class TestWedgedWorkerReaping:
         (failure,) = err.value.failures
         assert failure.kind == "timeout"
         assert failure.attempts == 3
+        self._assert_no_leaked_children(before)
+
+    def test_hang_once_recovers_in_order(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        items = _once_items(tmp_path, 4, faulty=1)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=1.0, retry=FAST3)
+        t0 = time.perf_counter()
+        assert ex.map(_hang_once_worker, items) == [0, 2, 4, 6]
+        assert time.perf_counter() - t0 < 20, "hung worker was not reaped"
+        assert ex.last_stats.retries >= 1
         self._assert_no_leaked_children(before)
 
     def test_crash_then_success_leaves_no_processes(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.errors import InvariantViolation, ReproError
+from repro.exec import SweepExecutor
 from repro.exec.cells import SimCell
 from repro.fuzz import cli
 from repro.fuzz.cellfile import (
@@ -386,3 +387,15 @@ class TestCLI:
     def test_bad_regime_is_a_one_line_error(self, capsys):
         assert cli.main(["--workloads", "--regimes", "nope"]) == 2
         assert "repro-fuzz:" in capsys.readouterr().err
+
+    def test_bad_protocol_is_a_one_line_error(self, monkeypatch, capsys):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before --protocols was checked")
+
+        monkeypatch.setattr(SweepExecutor, "map", no_cells)
+        assert cli.main(["--workloads", "--runs", "1", "--protocols", "FOO",
+                         "--regimes", "storm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-fuzz: ") and "'FOO'" in line

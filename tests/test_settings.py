@@ -1,4 +1,4 @@
-"""Run settings (:mod:`repro.settings`): the five ``RCC_*`` variables are
+"""Run settings (:mod:`repro.settings`): the four ``RCC_*`` variables are
 parsed once, strictly, and reach the workers only as arguments.
 
 Covers the parser (defaults, every accepted value, every rejection), the
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import pathlib
 import re
 
@@ -33,15 +34,16 @@ class TestFromEnv:
     def test_defaults(self):
         assert Settings.from_env({}) == Settings()
         assert Settings() == Settings(jobs=1, cache_dir=None, sanitize=False,
-                                      trace_out=None, chaos=None)
+                                      trace_out=None)
+        assert [f.name for f in dataclasses.fields(Settings)] == [
+            "jobs", "cache_dir", "sanitize", "trace_out"]
 
     def test_every_known_variable(self):
         env = {"RCC_JOBS": "3", "RCC_CACHE_DIR": "/tmp/c",
                "RCC_SANITIZE": "yes", "RCC_TRACE_OUT": "t.jsonl",
-               "RCC_CHAOS": "flaky:0.5;seed=7", "PATH": "/bin"}
+               "PATH": "/bin"}
         assert Settings.from_env(env) == Settings(
-            jobs=3, cache_dir="/tmp/c", sanitize=True,
-            trace_out="t.jsonl", chaos="flaky:0.5;seed=7")
+            jobs=3, cache_dir="/tmp/c", sanitize=True, trace_out="t.jsonl")
 
     def test_empty_values_mean_default(self):
         env = {name: "" for name in ENV_VARS}
@@ -49,7 +51,6 @@ class TestFromEnv:
 
     def test_executor_defaults_to_the_environment(self, monkeypatch):
         monkeypatch.setenv("RCC_JOBS", "3")
-        monkeypatch.delenv("RCC_CHAOS", raising=False)
         assert SweepExecutor().settings.jobs == 3
         monkeypatch.setenv("RCC_JOBZ", "3")
         with pytest.raises(SettingsError, match="RCC_JOBZ"):
@@ -67,8 +68,8 @@ CLIS = {
     "repro-fuzz": (fuzz_cli.main, ["--programs", "1"]),
 }
 
-#: The six retired switches, typos, a retired kernel switch, and values
-#: that do not parse.
+#: The retired switches (``RCC_CHAOS`` with a spec it once accepted, and
+#: two it refused), typos, and values that do not parse.
 BAD_ENV = [
     ("RCC_JOBS", "two"),
     ("RCC_JOBS", "0"),
@@ -81,6 +82,7 @@ BAD_ENV = [
     ("RCC_CACHE_MAX_BYTES", "0"),
     ("RCC_JOURNAL_DIR", "journals"),
     ("RCC_CHAOS_PARENT_PID", "1"),
+    ("RCC_CHAOS", "flaky:0.5;seed=7"),
     ("RCC_CHAOS", "bogus;seed=1"),
     ("RCC_CHAOS", "flaky:2.0"),
     ("RCC_SANITIZE", "maybe"),
@@ -103,7 +105,7 @@ def test_every_cli_rejects_bad_env(prog, name, value, monkeypatch, capsys):
     assert all(known in line for known in ENV_VARS)
 
 
-#: Flags of the retired campaign journal and chaos battery: argparse must
+#: Flags of the retired campaign journal and chaos layer: argparse must
 #: refuse them rather than ignore them.
 RETIRED_FLAGS = [
     ("rcc-repro", ["table1", "--journal-dir", "d"]),
@@ -125,7 +127,6 @@ def test_retired_flags_exit_2(prog, argv, capsys):
 def test_flags_override_the_environment(monkeypatch):
     monkeypatch.setenv("RCC_JOBS", "3")
     monkeypatch.setenv("RCC_SANITIZE", "1")
-    monkeypatch.delenv("RCC_CHAOS", raising=False)
     parser = argparse.ArgumentParser(parents=[cli_parent()])
     parser.add_argument("--sanitize", action="store_true", default=None)
     args = parser.parse_args(["--jobs", "2"])
@@ -152,8 +153,7 @@ def test_sanitize_reaches_every_default_executor_cell(monkeypatch):
     runs — through ``run_cells`` and the hostile campaign with its
     benign reference — has a sanitizer attached."""
     monkeypatch.setenv("RCC_SANITIZE", "1")
-    for name in ("RCC_JOBS", "RCC_CHAOS"):  # serial: the spy is in-process
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("RCC_JOBS", raising=False)  # serial: spy in-process
     attached = []
 
     class Spy(Sanitizer):
