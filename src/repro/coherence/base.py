@@ -30,6 +30,11 @@ from repro.mem.mshr import MSHRFile
 from repro.noc.crossbar import Crossbar
 from repro.timing.engine import Engine
 
+#: Cycles between re-presentations of a request its L2 bank cannot take yet
+#: (a line in a blocking transient state, a full MSHR file, a set with
+#: every way pinned). Models the request sitting in the bank's input queue.
+RETRY_DELAY = 8
+
 
 class L1Stats:
     """Superset of per-L1 counters used across protocols."""
@@ -207,6 +212,29 @@ class L2ControllerBase:
     # ------------------------------------------------------------------
     def on_message(self, msg: Message) -> None:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Retries
+    # ------------------------------------------------------------------
+    def wait_key(self) -> tuple:
+        """Everything a retry check of this bank reads, as one value: while
+        it is unchanged, no blocked request's verdict can change."""
+        raise NotImplementedError
+
+    def _retry_check(self, msg: Message) -> Callable[[], Any]:
+        """A pure read of whether ``msg`` is still blocked: falsy when it
+        may re-enter the handler (conservatively: the handler may block it
+        again), ``self`` while it is blocked (see :meth:`Engine.poll`)."""
+        raise NotImplementedError
+
+    def _retry(self, msg: Message) -> None:
+        """Re-present ``msg`` to ``on_message`` once its check lets it
+        through. The (check, resume) pair is built once per message."""
+        pair = msg.meta.get("_retry")
+        if pair is None:
+            pair = msg.meta["_retry"] = (self._retry_check(msg),
+                                         lambda: self.on_message(msg))
+        self.engine.poll(RETRY_DELAY, *pair)
 
     # ------------------------------------------------------------------
     def next_arrival(self) -> int:

@@ -28,8 +28,6 @@ from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
 
-RETRY_DELAY = 8
-
 
 class MESIL1Controller(L1ControllerBase):
     """Write-through L1 under the MESI directory."""
@@ -261,6 +259,9 @@ class MESIL2Controller(L2ControllerBase):
         #: an old sharer's recall is still in flight — breaking write
         #: atomicity (the sanitizer's mesi.write.single_writer catch).
         self._recalls: dict = {}
+        #: Bumped whenever a line's ``inv_pending`` or a block's recall
+        #: count changes (an input of :meth:`wait_key`).
+        self._holds = 0
 
     # ------------------------------------------------------------------
     def on_message(self, msg: Message) -> None:
@@ -273,53 +274,32 @@ class MESIL2Controller(L2ControllerBase):
         else:
             raise self.unhandled("-", msg.kind, f"addr=0x{msg.addr:x}")
 
-    def _retry(self, msg: Message) -> None:
-        # Built once per message and cached in its meta. While the blocking
-        # condition still holds the poll re-arms itself with pure reads only;
-        # the guard is exactly the set of conditions under which re-entering
-        # the handler would call ``_retry`` again without side effects (stats
-        # are ``_counted``-guarded, and the handler's ``can_allocate`` fail is
-        # conservatively left to the full path). Anything else re-enters the
-        # kind-specific handler, identical to re-entering ``on_message``
-        # (pure dispatch; INV_ACKs are never retried).
-        meta = msg.meta
-        cb = meta.get("_retry_cb")
-        if cb is None:
-            block = msg.addr
-            cache_map = self.cache._map
-            entries = self.mshr._entries
-            capacity = self.mshr.capacity
-            recalls = self._recalls
-            engine = self.engine
-            schedule = engine.schedule
-            valid = L2State.V
+    def wait_key(self) -> tuple:
+        return (self.cache.version, self.mshr.version, self._holds)
 
-            def blocked() -> bool:
-                line = cache_map.get(block)
-                if line is not None:
-                    return (line.state is valid
-                            and line.meta.get("inv_pending") is not None)
-                if recalls.get(block):
-                    return True
-                return len(entries) >= capacity and block not in entries
+    def _retry_check(self, msg: Message):
+        # Exactly the conditions under which re-entering the handler would
+        # block again without side effects (stats are ``_counted``-guarded,
+        # and the handler's ``can_allocate`` fail is conservatively left to
+        # the full path; INV_ACKs are never retried).
+        block = msg.addr
+        cache_map = self.cache._map
+        entries = self.mshr._entries
+        capacity = self.mshr.capacity
+        recalls = self._recalls
+        valid = L2State.V
 
-            if msg.kind is MsgKind.GETS:
-                def cb() -> None:
-                    if blocked():
-                        schedule(engine.now + RETRY_DELAY, cb)
-                    else:
-                        self._on_gets(msg)
+        def check():
+            line = cache_map.get(block)
+            if line is not None:
+                blocked = (line.state is valid
+                           and line.meta.get("inv_pending") is not None)
+            elif recalls.get(block):
+                blocked = True
             else:
-                atomic = msg.kind is MsgKind.ATOMIC
-
-                def cb() -> None:
-                    if blocked():
-                        schedule(engine.now + RETRY_DELAY, cb)
-                    else:
-                        self._on_getx(msg, atomic)
-            meta["_retry_cb"] = cb
-        engine = self.engine
-        engine.schedule(engine.now + RETRY_DELAY, cb)
+                blocked = len(entries) >= capacity and block not in entries
+            return self if blocked else None
+        return check
 
     @staticmethod
     def _busy(line: CacheLine) -> bool:
@@ -380,6 +360,7 @@ class MESIL2Controller(L2ControllerBase):
             line.meta["inv_pending"] = {
                 "remaining": len(sharers), "msg": msg, "atomic": atomic,
             }
+            self._holds += 1
             line.pinned = True  # not evictable while collecting acks
             line.sharers.clear()
             for sharer in sharers:
@@ -396,6 +377,7 @@ class MESIL2Controller(L2ControllerBase):
 
     def _on_inv_ack(self, msg: Message) -> None:
         if msg.meta.get("recall"):
+            self._holds += 1
             remaining = self._recalls.get(msg.addr, 0) - 1
             if remaining > 0:
                 self._recalls[msg.addr] = remaining
@@ -411,6 +393,7 @@ class MESIL2Controller(L2ControllerBase):
         pending["remaining"] -= 1
         if pending["remaining"] == 0:
             del line.meta["inv_pending"]
+            self._holds += 1
             line.pinned = False
             self._apply_write(pending["msg"], line, pending["atomic"])
 
@@ -487,6 +470,7 @@ class MESIL2Controller(L2ControllerBase):
         if sharers:
             self._recalls[line.addr] = (self._recalls.get(line.addr, 0)
                                         + len(sharers))
+            self._holds += 1
         for sharer in sharers:
             self.stats.invalidations_sent += 1
             self.send(sharer, MsgKind.INV, line.addr, meta={"recall": True})

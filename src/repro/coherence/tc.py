@@ -36,8 +36,6 @@ from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
 
-RETRY_DELAY = 8
-
 
 class TCL1Controller(L1ControllerBase):
     """Shared L1 for TC-strong and TC-weak (``strong`` selects the mode)."""
@@ -443,55 +441,37 @@ class TCL2Controller(L2ControllerBase):
             self.send(msg.src, MsgKind.ACK, block, meta=meta)
 
     # ------------------------------------------------------------------
+    def wait_key(self) -> tuple:
+        # Parked leases hold MSHR capacity and leave on a timer.
+        return (self.cache.version, self.mshr.version, len(self.parked))
+
+    def _retry_check(self, msg: Message):
+        # ``_miss_fetch``'s short-circuit fail condition: with no line
+        # present and no MSHR slot to take, the full handler could do
+        # nothing but block again. Anything else (a line, a free slot while
+        # ``_can_allocate`` — whose pin-flag side effects must be preserved
+        # — refused) re-enters the handler.
+        block = msg.addr
+        cache_map = self.cache._map
+        entries = self.mshr._entries
+        parked = self.parked
+        capacity = self.mshr.capacity
+
+        def check():
+            if (cache_map.get(block) is None
+                    and len(entries) + len(parked) >= capacity
+                    and block not in entries):
+                return self
+            return None
+        return check
+
     def _miss_fetch(self, msg: Message, block: int, is_read: bool) -> None:
-        # Under MSHR pressure this is re-entered once per RETRY_DELAY per
-        # parked request — millions of times in lease-heavy sweeps — so the
-        # fail path is inlined: the occupancy test reads the MSHR's entry
-        # dict directly.
         mshr = self.mshr
         entries = mshr._entries
         if ((len(entries) + len(self.parked) >= mshr.capacity
              and block not in entries)
                 or not self._can_allocate(block)):
-            # The retry callback is built once per message and cached in
-            # its meta. While the bank is still saturated it requeues
-            # itself directly: the guard below is exactly this method's
-            # short-circuit fail condition, and with no line present the
-            # full handler could do nothing else (``_on_gets``/``_on_write``
-            # fall straight back here, and ``_can_allocate`` — whose
-            # pin-flag side effects must be preserved — is skipped by the
-            # ``or`` short-circuit either way). Any other state falls
-            # through to the kind-specific handler, which is identical to
-            # re-entering ``on_message`` (pure dispatch).
-            meta = msg.meta
-            cb = meta.get("_retry_cb")
-            if cb is None:
-                cache_map = self.cache._map
-                parked = self.parked
-                capacity = mshr.capacity
-                engine = self.engine
-                schedule = engine.schedule
-                if is_read:
-                    def cb() -> None:
-                        if (cache_map.get(block) is None
-                                and len(entries) + len(parked) >= capacity
-                                and block not in entries):
-                            schedule(engine.now + RETRY_DELAY, cb)
-                        else:
-                            self._on_gets(msg)
-                else:
-                    atomic = msg.kind is MsgKind.ATOMIC
-
-                    def cb() -> None:
-                        if (cache_map.get(block) is None
-                                and len(entries) + len(parked) >= capacity
-                                and block not in entries):
-                            schedule(engine.now + RETRY_DELAY, cb)
-                        else:
-                            self._on_write(msg, atomic)
-                meta["_retry_cb"] = cb
-            engine = self.engine
-            engine.schedule(engine.now + RETRY_DELAY, cb)
+            self._retry(msg)
             return
         self.stats.misses += 1
         line = self.cache.insert(block, L2State.IV, self._on_evict)

@@ -33,15 +33,10 @@ from typing import List, Optional
 
 from repro.common.messages import Message
 from repro.common.types import L2State, MsgKind
-from repro.coherence.base import L2ControllerBase
+from repro.coherence.base import RETRY_DELAY, L2ControllerBase
 from repro.core.lease import LeasePredictor, post_lease
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-
-#: Delay before re-presenting a request that hit a stalling state (IAV, or a
-#: set with every way pinned). Models the request sitting in the bank's
-#: input queue.
-RETRY_DELAY = 8
 
 
 class RCCL2Controller(L2ControllerBase):
@@ -59,6 +54,8 @@ class RCCL2Controller(L2ControllerBase):
         self._lease_max2 = cfg.ts.lease_max + 2
         self.frozen = False
         self._frozen_queue: List[Message] = []
+        #: DRAM fills completed (an input of :meth:`wait_key`).
+        self._fills = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -98,62 +95,61 @@ class RCCL2Controller(L2ControllerBase):
                 m = line.ver
         return m + self._lease_max2
 
-    def _retry(self, msg: Message) -> None:
+    def wait_key(self) -> tuple:
+        # Line presence and the MSHR entry set, the guard band (rollover,
+        # freeze, ``mnow``), and ``_fills``: a blocked line is IV or IAV,
+        # whose state, ``exp`` and ``ver`` change only at its fill.
+        rollover = self.rollover
+        return (self.cache.version, self.mshr.version, self._fills,
+                rollover.epoch, rollover.in_progress, self.frozen,
+                self.dram.mnow)
+
+    def _retry_check(self, msg: Message):
         # The retry re-enters ``on_message`` in full whenever rollover could
         # be in play: the frozen/trigger checks and epoch clamping must be
         # re-evaluated at fire time. Away from the guard band that entry
         # sequence is side-effect-free (``maybe_trigger``'s no-trigger path
         # is a pure read, and the clamped timestamps cannot affect whether
-        # the request blocks), so the poll re-checks the blocking condition
-        # with pure reads — the in-line projected-timestamp computation is
-        # ``_projected_ts`` verbatim — and re-arms itself while it holds,
-        # conservatively falling back to the full path for the
-        # ``can_allocate`` fail case. Built once per message.
-        meta = msg.meta
-        cb = meta.get("_retry_cb")
-        if cb is None:
-            block = msg.addr
-            cache_map = self.cache._map
-            entries = self.mshr._entries
-            capacity = self.mshr.capacity
-            engine = self.engine
-            schedule = engine.schedule
-            rollover = self.rollover
-            dram = self.dram
-            threshold = rollover.threshold
-            lease_max2 = self._lease_max2
-            n = msg.now or 0
-            atomic = msg.kind is MsgKind.ATOMIC
-            valid = L2State.V
-            iav = L2State.IAV
+        # the request blocks), so the check reads the blocking condition
+        # only — the in-line projected-timestamp computation is
+        # ``_projected_ts`` verbatim — and conservatively lets the
+        # ``can_allocate`` fail case through to the full path.
+        block = msg.addr
+        cache_map = self.cache._map
+        entries = self.mshr._entries
+        capacity = self.mshr.capacity
+        rollover = self.rollover
+        dram = self.dram
+        threshold = rollover.threshold
+        lease_max2 = self._lease_max2
+        n = msg.now or 0
+        atomic = msg.kind is MsgKind.ATOMIC
+        valid = L2State.V
+        iav = L2State.IAV
 
-            def cb() -> None:
-                if not self.frozen and not rollover.in_progress:
-                    line = cache_map.get(block)
-                    m = dram.mnow
-                    if n > m:
-                        m = n
-                    if line is not None:
-                        if line.exp > m:
-                            m = line.exp
-                        if line.ver > m:
-                            m = line.ver
-                    if m + lease_max2 < threshold:
-                        if line is not None:
-                            blocked = (line.state is not valid if atomic
-                                       else line.state is iav)
-                        elif atomic:
-                            blocked = len(entries) >= capacity
-                        else:
-                            blocked = (len(entries) >= capacity
-                                       and block not in entries)
-                        if blocked:
-                            schedule(engine.now + RETRY_DELAY, cb)
-                            return
-                self.on_message(msg)
-            meta["_retry_cb"] = cb
-        engine = self.engine
-        engine.schedule(engine.now + RETRY_DELAY, cb)
+        def check():
+            if self.frozen or rollover.in_progress:
+                return None
+            line = cache_map.get(block)
+            m = dram.mnow
+            if n > m:
+                m = n
+            if line is not None:
+                if line.exp > m:
+                    m = line.exp
+                if line.ver > m:
+                    m = line.ver
+            if m + lease_max2 >= threshold:
+                return None
+            if line is not None:
+                blocked = (line.state is not valid if atomic
+                           else line.state is iav)
+            elif atomic:
+                blocked = len(entries) >= capacity
+            else:
+                blocked = len(entries) >= capacity and block not in entries
+            return self if blocked else None
+        return check
 
     # ------------------------------------------------------------------
     # GETS
@@ -351,6 +347,7 @@ class RCCL2Controller(L2ControllerBase):
             self.engine.schedule(self.engine.now + RETRY_DELAY,
                                  lambda: self._on_dram_data(block))
             return
+        self._fills += 1
         line = self.cache._map.get(block)
         entry = self.mshr.get(block)
         if line is None or entry is None:

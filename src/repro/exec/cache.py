@@ -6,7 +6,8 @@ One JSON file per cell, named by the cell's content hash
 tuple, invalidation is automatic: change any input and the key changes,
 so the old entry is simply never read again. Corrupted or truncated
 files are detected on read, evicted, and recomputed — a damaged cache can
-slow a sweep down but never change its results.
+slow a sweep down but never change its results. An entry that cannot be
+opened at all is a plain miss, and nothing is evicted for it.
 
 Integrity: each entry embeds a sha256 digest over the canonical JSON
 form of its result payload, verified on every read. This catches the
@@ -28,8 +29,9 @@ oldest-mtime entries first (content-addressed entries have no better
 recency signal than their write time, and a re-computed cell rewrites
 its file, refreshing it). Bounds default to
 :data:`DEFAULT_MAX_ENTRIES` / :data:`DEFAULT_MAX_BYTES` and can be set
-per instance (``0`` disables a bound). Hit/miss/eviction counters are
-surfaced in the sweep summary line (:class:`repro.exec.engine.SweepStats`).
+per instance (``0`` disables a bound). Hit/miss/eviction/write-error
+counters are surfaced in the sweep summary line
+(:class:`repro.exec.engine.SweepStats`).
 """
 
 from __future__ import annotations
@@ -99,18 +101,22 @@ class ResultCache:
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result for ``key``, or None on miss.
 
-        Any unreadable entry — bad JSON, wrong envelope, mismatched key,
+        An entry that cannot be opened (absent, or a cache root that is
+        not a readable directory) is a plain miss. An entry that opens
+        but is unreadable — bad JSON, wrong envelope, mismatched key,
         failed result digest, payload that fails reconstruction — is
         deleted and treated as a miss so the cell is recomputed instead
         of crashing (or corrupting) the sweep.
         """
         path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                blob = json.load(f)
-        except FileNotFoundError:
+            f = open(path, "r", encoding="utf-8")
+        except OSError:
             self.misses += 1
             return None
+        try:
+            with f:
+                blob = json.load(f)
         except (OSError, ValueError, UnicodeDecodeError):
             self._evict(path)
             self.misses += 1

@@ -125,6 +125,7 @@ class SweepStats:
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
     cache_evictions: Optional[int] = None
+    cache_write_errors: Optional[int] = None
     #: Per computed cell wall time, in submission order.
     cell_times: List[float] = field(default_factory=list)
     #: Per computed cell simulation throughput (engine events per second
@@ -171,6 +172,8 @@ class SweepStats:
                      f"/{self.cache_misses} miss")
             if self.cache_evictions:
                 line += f"/{self.cache_evictions} evicted"
+            if self.cache_write_errors:
+                line += f"/{self.cache_write_errors} write error(s)"
         line += f"; mode={self.mode} jobs={self.jobs}]"
         return line
 
@@ -233,7 +236,8 @@ class SweepExecutor:
         results: List[Optional[SimResult]] = [None] * n
         keys: List[str] = []
         if cache is not None:
-            counters0 = (cache.hits, cache.misses, cache.evictions)
+            counters0 = (cache.hits, cache.misses, cache.evictions,
+                         cache.write_errors)
             keys = [cell_key(c) for c in cells]
             results = [cache.get(key) for key in keys]
         pending = [i for i in range(n) if results[i] is None]
@@ -262,6 +266,7 @@ class SweepExecutor:
             stats.cache_hits = cache.hits - counters0[0]
             stats.cache_misses = cache.misses - counters0[1]
             stats.cache_evictions = cache.evictions - counters0[2]
+            stats.cache_write_errors = cache.write_errors - counters0[3]
         if self.on_summary is not None:
             self.on_summary(stats.render())
         return results

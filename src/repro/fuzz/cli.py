@@ -30,11 +30,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.coherence.registry import available_protocols
 from repro.config import NAMED_CONFIGS, named_config
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.exec import SweepExecutor
 from repro.fuzz.cellfile import cell_files, replay_cell, save_cell
 from repro.fuzz.corpus import corpus_files, load_program, save_program
@@ -136,10 +136,20 @@ def _knobs(args) -> FuzzKnobs:
         p_compute=args.p_compute)
 
 
+def _protocols(spec: str, default: Sequence[str]) -> List[str]:
+    """The ``--protocols`` list: ``default`` for 'all', else the names it
+    lists. A list that names no protocol is a :class:`ConfigError`."""
+    if spec == "all":
+        return list(default)
+    names = [s.strip() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise ConfigError(f"--protocols {spec!r} names no protocol")
+    return names
+
+
 def _runner(args, settings: Settings) -> DifferentialRunner:
     cfg = named_config(args.config)
-    protocols = (available_protocols() if args.protocols == "all"
-                 else [s.strip() for s in args.protocols.split(",") if s.strip()])
+    protocols = _protocols(args.protocols, available_protocols())
     return DifferentialRunner(cfg=cfg, protocols=protocols,
                               sanitize=settings.sanitize,
                               trace_out=settings.trace_out)
@@ -184,9 +194,7 @@ def _replay(args, runner: DifferentialRunner) -> int:
 
 def _workloads_main(args, settings: Settings) -> int:
     """The ``--workloads`` mode: one hostile-lab fuzz campaign."""
-    protocols = (list(DEFAULT_PROTOCOLS) if args.protocols == "all"
-                 else [s.strip() for s in args.protocols.split(",")
-                       if s.strip()])
+    protocols = _protocols(args.protocols, DEFAULT_PROTOCOLS)
 
     def progress(i, run):
         if args.verbose:

@@ -64,6 +64,8 @@ class CacheArray:
         #: dict probe here replaces the shift/modulo/set-indexing dance (and
         #: hot protocol paths read ``_map`` directly, skipping the call).
         self._map: Dict[int, CacheLine] = {}
+        #: Bumped whenever the set of resident lines changes.
+        self.version = 0
 
     # ------------------------------------------------------------------
     def set_index(self, addr: int) -> int:
@@ -117,6 +119,7 @@ class CacheArray:
         line = CacheLine(base, state)
         s[base] = line
         self._map[base] = line
+        self.version += 1
         return line
 
     def can_allocate(self, addr: int) -> bool:
@@ -131,6 +134,7 @@ class CacheArray:
         blk = addr >> self._block_shift
         base = blk << self._block_shift
         self._map.pop(base, None)
+        self.version += 1
         return self._sets[blk % self.n_sets].pop(base, None)
 
     def _pick_victim(self, s: Dict[int, CacheLine]) -> Optional[CacheLine]:
@@ -170,3 +174,4 @@ class CacheArray:
         for s in self._sets:
             s.clear()
         self._map.clear()
+        self.version += 1

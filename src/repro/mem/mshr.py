@@ -52,6 +52,8 @@ class MSHRFile:
         self.capacity = capacity
         self._entries: Dict[int, MSHREntry] = {}
         self.peak_occupancy = 0
+        #: Bumped whenever the set of entries changes.
+        self.version = 0
 
     def get(self, addr: int) -> Optional[MSHREntry]:
         return self._entries.get(addr)
@@ -68,6 +70,7 @@ class MSHRFile:
                 raise SimulationError("MSHR allocation with no free entry")
             entry = MSHREntry(addr)
             self._entries[addr] = entry
+            self.version += 1
             self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
 
@@ -82,11 +85,13 @@ class MSHRFile:
                 f"releasing non-empty MSHR entry 0x{addr:x}: {entry!r}"
             )
         del self._entries[addr]
+        self.version += 1
 
     def release_if_empty(self, addr: int) -> bool:
         entry = self._entries.get(addr)
         if entry is not None and entry.empty:
             del self._entries[addr]
+            self.version += 1
             return True
         return False
 
@@ -101,3 +106,4 @@ class MSHRFile:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.version += 1

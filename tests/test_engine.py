@@ -111,15 +111,16 @@ def test_second_run_after_drain():
 
 
 def test_queue_layout_stays_inside_timing():
-    # Callers see only the clock and its two verbs; the ring, the far heap
-    # and their bookkeeping are private to ``repro/timing/``, so no other
-    # module may name them or reach into an engine's private attributes.
+    # Callers see only the clock and its three verbs; the ring, the far
+    # heap, retry trains and their bookkeeping are private to
+    # ``repro/timing/``, so no other module may name them or reach into an
+    # engine's private attributes.
     assert repro.timing.__all__ == ["Engine"]
     assert {name for name in dir(Engine) if not name.startswith("_")} == {
         "now", "max_cycles", "diagnostics", "events_fired", "schedule",
-        "run"}
+        "poll", "run"}
     private = re.compile(r"\b(_RING|_MASK|_ring|_ring_cycles|_far|_horizon"
-                         r"|_live)\b|\beng(ine)?\._")
+                         r"|_live|_Train)\b|\beng(ine)?\._")
     src = pathlib.Path(repro.__file__).parent
     offenders = [
         f"{path.relative_to(src)}:{lineno}: {line.strip()}"

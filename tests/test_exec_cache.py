@@ -214,16 +214,25 @@ class TestCrashSafety:
     def test_unwritable_cache_returns_clean_payloads(self, tmp_path,
                                                      base_result):
         # Every write fails (the root is a file); the sweep still
-        # returns exactly what a cache-less run computes.
+        # returns exactly what a cache-less run computes. An entry that
+        # cannot even be opened is a plain miss: nothing is evicted, and
+        # the summary line names the failed writes.
         cells = [BASE, dataclasses.replace(BASE, protocol="MESI")]
         clean = SweepExecutor(env_settings(jobs=1)).run_cells(cells)
         blocker = tmp_path / "blocker"
         blocker.write_text("in the way")
         cache = ResultCache(str(blocker))
-        got = SweepExecutor(env_settings(jobs=1), cache=cache).run_cells(cells)
+        ex = SweepExecutor(env_settings(jobs=1), cache=cache)
+        got = ex.run_cells(cells)
         assert ([r.to_payload() for r in got]
                 == [r.to_payload() for r in clean])
         assert cache.write_errors == len(cells)
+        assert (cache.misses, cache.evictions) == (len(cells), 0)
+        summary = ex.last_stats.render()
+        assert f"cache 0 hit/{len(cells)} miss/{len(cells)} write error(s)" \
+            in summary, summary
+        assert "evicted" not in summary, summary
+        assert blocker.read_text() == "in the way"
 
     def test_no_tmp_debris_after_successful_put(self, tmp_path,
                                                 base_result):

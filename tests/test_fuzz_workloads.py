@@ -12,6 +12,7 @@ from repro.errors import InvariantViolation, ReproError
 from repro.exec import SweepExecutor
 from repro.exec.cells import SimCell
 from repro.fuzz import cli
+from repro.fuzz.differential import DifferentialRunner
 from repro.fuzz.cellfile import (
     CELL_SCHEMA, cell_files, load_cell, replay_cell, save_cell,
 )
@@ -399,3 +400,30 @@ class TestCLI:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-fuzz: ") and "'FOO'" in line
+
+    @pytest.mark.parametrize("spec", [",", " , ,"])
+    def test_empty_protocol_list_is_a_one_line_error(self, monkeypatch,
+                                                     capsys, spec):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before --protocols was checked")
+
+        monkeypatch.setattr(SweepExecutor, "map", no_cells)
+        assert cli.main(["--workloads", "--runs", "1", "--protocols", spec,
+                         "--regimes", "storm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-fuzz: ") and "no protocol" in line
+
+    def test_empty_protocol_list_in_litmus_mode(self, monkeypatch, capsys):
+        # Litmus mode used to fall back to every protocol for this list.
+        def no_programs(*args, **kwargs):
+            raise AssertionError("a program ran before --protocols was "
+                                 "checked")
+
+        monkeypatch.setattr(DifferentialRunner, "check_program", no_programs)
+        assert cli.main(["--programs", "1", "--protocols", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-fuzz: ") and "no protocol" in line
