@@ -64,11 +64,15 @@ class RCCL2Controller(L2ControllerBase):
         if self.frozen:
             self._frozen_queue.append(msg)
             return
-        if self.rollover.maybe_trigger(self._projected_ts(msg), self.bank_id):
-            self._frozen_queue.append(msg)
-            return
+        # Clamp before the trigger: a request queued across a rollover
+        # carries a stale-epoch ``now`` that counts as zero (§III-D), or
+        # it would start a new rollover at every presentation.
         epoch = msg.meta.get("epoch", self.rollover.epoch)
         m_now = self.rollover.clamp(msg.now, epoch)
+        if self.rollover.maybe_trigger(self._projected_ts(msg, m_now),
+                                       self.bank_id):
+            self._frozen_queue.append(msg)
+            return
         m_exp = (self.rollover.clamp(msg.exp, epoch)
                  if msg.exp is not None and epoch == self.rollover.epoch
                  else None)
@@ -81,10 +85,10 @@ class RCCL2Controller(L2ControllerBase):
         else:
             raise self.unhandled("-", msg.kind, f"addr=0x{msg.addr:x}")
 
-    def _projected_ts(self, msg: Message) -> int:
-        """Upper bound on any timestamp this transaction could produce."""
+    def _projected_ts(self, msg: Message, n: int) -> int:
+        """Upper bound on any timestamp this transaction could produce,
+        given the request's epoch-clamped ``now`` ``n``."""
         m = self.dram.mnow
-        n = msg.now or 0
         if n > m:
             m = n
         line = self.cache._map.get(msg.addr)
@@ -111,9 +115,12 @@ class RCCL2Controller(L2ControllerBase):
         # sequence is side-effect-free (``maybe_trigger``'s no-trigger path
         # is a pure read, and the clamped timestamps cannot affect whether
         # the request blocks), so the check reads the blocking condition
-        # only — the in-line projected-timestamp computation is
-        # ``_projected_ts`` verbatim — and conservatively lets the
-        # ``can_allocate`` fail case through to the full path.
+        # only — the in-line guard-band test is ``_projected_ts`` split in
+        # two: the bank's timestamps, read at each check, and the request's
+        # ``now``, fixed when the check is built, which counts only while
+        # the request's epoch is current (``rollover.epoch`` is a key
+        # input) — and conservatively lets the ``can_allocate`` fail case
+        # through to the full path.
         block = msg.addr
         cache_map = self.cache._map
         entries = self.mshr._entries
@@ -122,7 +129,8 @@ class RCCL2Controller(L2ControllerBase):
         dram = self.dram
         threshold = rollover.threshold
         lease_max2 = self._lease_max2
-        n = msg.now or 0
+        now_in_band = (msg.now or 0) + lease_max2 >= threshold
+        msg_epoch = msg.meta.get("epoch")
         atomic = msg.kind is MsgKind.ATOMIC
         valid = L2State.V
         iav = L2State.IAV
@@ -132,14 +140,13 @@ class RCCL2Controller(L2ControllerBase):
                 return None
             line = cache_map.get(block)
             m = dram.mnow
-            if n > m:
-                m = n
             if line is not None:
                 if line.exp > m:
                     m = line.exp
                 if line.ver > m:
                     m = line.ver
-            if m + lease_max2 >= threshold:
+            if m + lease_max2 >= threshold or (
+                    now_in_band and msg_epoch in (None, rollover.epoch)):
                 return None
             if line is not None:
                 blocked = (line.state is not valid if atomic

@@ -48,19 +48,17 @@ class DeadlockError(SimulationError):
         super().__init__(msg)
 
 
-#: The sweep executor's failure taxonomy. Every failed cell is filed
-#: under exactly one class:
+#: The sweep executor's failure taxonomy. A cell fails only after its own
+#: runs used up their attempts; the last one files it under exactly one
+#: class:
 #:
-#: - ``timeout``       — the cell exceeded its wall-clock budget and its
-#:                       worker was reaped;
-#: - ``crash``         — the worker process evaluating the cell died
-#:                       (confirmed in an isolated single-worker pool);
-#: - ``poisoned-pool`` — the cell failed only because a *sibling* cell
-#:                       broke the shared pool and it could never be
-#:                       confirmed in isolation;
-#: - ``exception``     — the worker function raised an ordinary Python
-#:                       exception.
-FAILURE_KINDS = ("timeout", "crash", "poisoned-pool", "exception")
+#: - ``timeout``   — it exceeded its wall-clock budget while it was the
+#:                   run being waited on, and its pool was killed;
+#: - ``crash``     — its worker process died while it was the only
+#:                   uncollected cell in the pool;
+#: - ``exception`` — the worker function raised an ordinary Python
+#:                   exception.
+FAILURE_KINDS = ("timeout", "crash", "exception")
 
 
 class CellFailure:
@@ -93,8 +91,7 @@ class CellFailure:
 
 class HarnessError(ReproError):
     """One or more sweep cells failed in the execution engine after
-    exhausting their retry budget (worker crash, timeout, or broken
-    process pool).
+    exhausting their attempts (worker crash, timeout, or exception).
 
     Raised instead of executor internals such as ``BrokenProcessPool`` so
     the CLI and tests see one stable, library-owned failure type.

@@ -9,12 +9,12 @@ from repro.exec.cells import (
     SimCell, canonical_overrides, cell_key, derive_seed, run_cell,
     sweep_cells,
 )
-from repro.exec.engine import RetryPolicy, SweepExecutor, SweepStats
+from repro.exec.engine import MAX_ATTEMPTS, SweepExecutor, SweepStats
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
+    "MAX_ATTEMPTS",
     "ResultCache",
-    "RetryPolicy",
     "SimCell",
     "SweepExecutor",
     "SweepStats",

@@ -4,27 +4,35 @@ The paper's evaluation is a grid of independent simulations (12 workloads
 x 6 protocols per figure), so sweep throughput — not any single run — is
 what bounds iteration time. :class:`SweepExecutor` schedules such grids:
 
-* ``Settings.jobs == 1`` (the default) runs serially in-process,
-  preserving the historical bit-identical behavior;
-* ``jobs > 1`` fans cells out over a ``ProcessPoolExecutor`` (``fork``
-  start method where available, so workers inherit the loaded modules and
-  the parent's hash seed — a prerequisite for replaying identical runs);
-* when process pools are unavailable (restricted environments) the
-  engine degrades gracefully to in-process serial execution rather than
-  failing;
-* each cell gets an optional wall-clock ``timeout`` and bounded
-  exponential-backoff retries (:class:`RetryPolicy`; retries run in a
-  fresh single-worker pool so a poisoned worker cannot take them down);
-* a worker death breaks the shared pool for every un-collected future —
-  the engine rebuilds the pool and *resubmits* the survivors as a batch
-  instead of burning one isolated single-worker pool per innocent cell;
-* a cell that still fails surfaces inside a
-  :class:`~repro.errors.HarnessError` (never a raw
-  ``BrokenProcessPool``), carrying one structured
-  :class:`~repro.errors.CellFailure` per cell classified under the
-  ``timeout`` / ``crash`` / ``poisoned-pool`` / ``exception`` taxonomy,
-  with every other cell's result unaffected;
-* results come back in submission order regardless of completion order,
+* ``Settings.jobs == 1`` (the default) runs in-process, preserving the
+  historical bit-identical behavior; ``jobs > 1`` fans cells out over a
+  ``ProcessPoolExecutor`` (``fork`` start method where available, so
+  workers inherit the loaded modules and the parent's hash seed — a
+  prerequisite for replaying identical runs); when process pools are
+  unavailable (restricted environments) the engine runs in-process
+  rather than failing.
+* One scheduling loop serves both. It keeps two queues: ``batch``, cells
+  that share the ``jobs``-wide pool (at the start, every cell), and
+  ``solo``, cells that run with nothing else in flight. Results are
+  collected in submission order, with an optional per-cell wall-clock
+  ``timeout``; in-process, the call itself is made at collection.
+* A cell is charged an attempt only for its own failure: it raised; it
+  timed out while it was the future being waited on (the pool dispatches
+  in order, so every earlier cell had finished); or it broke the pool
+  while it was the only cell not yet collected. A charged cell re-runs
+  in ``solo`` until it has used :data:`MAX_ATTEMPTS` runs, then becomes
+  a :class:`~repro.errors.CellFailure`. Cells are deterministic, so a
+  re-run does not wait first.
+* A pool break with several cells in flight charges nobody: the first
+  uncollected cell moves to ``solo``, the rest go back to ``batch``, and
+  the pool is rebuilt. A timeout force-kills the pool; the waited-on cell
+  is charged and the uncollected rest go back to ``batch`` uncharged.
+  So a cell never fails because of a sibling.
+* Failed cells surface together, after every other cell has run, inside
+  one :class:`~repro.errors.HarnessError` (never a raw
+  ``BrokenProcessPool``) whose ``CellFailure`` records carry a kind from
+  the ``timeout`` / ``crash`` / ``exception`` taxonomy.
+* Results come back in submission order regardless of completion order,
   so downstream aggregation is order-deterministic.
 
 Layered on top is the content-keyed on-disk result cache
@@ -44,10 +52,10 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CellFailure, HarnessError
 from repro.exec.cache import ResultCache
@@ -56,6 +64,12 @@ from repro.settings import Settings
 from repro.sim.results import SimResult
 
 _TIMEOUT_EXCS = (TimeoutError, FuturesTimeout)
+#: What collecting a run raises when its pool is broken or wedged.
+_POOL_LOST = (BrokenExecutor,) + _TIMEOUT_EXCS
+
+#: Runs a cell gets before it becomes a ``CellFailure``. Only a cell's own
+#: failure uses one up (see the module docstring).
+MAX_ATTEMPTS = 3
 
 
 def _timed_call(fn: Callable[[Any], Any], item: Any) -> Tuple[float, Any]:
@@ -66,18 +80,13 @@ def _timed_call(fn: Callable[[Any], Any], item: Any) -> Tuple[float, Any]:
     return time.perf_counter() - t0, out
 
 
-def classify_exception(exc: BaseException, isolated: bool = True) -> str:
-    """File one cell-level exception under the failure taxonomy.
-
-    ``isolated`` says whether the evidence comes from the cell's own
-    isolated single-worker pool (or in-process execution): a broken pool
-    observed only as shared-pool collateral is ``poisoned-pool``, while
-    a pool the cell broke all by itself is a confirmed ``crash``.
-    """
+def classify_exception(exc: BaseException) -> str:
+    """File the exception of a cell's last charged run under the failure
+    taxonomy."""
     if isinstance(exc, _TIMEOUT_EXCS):
         return "timeout"
     if isinstance(exc, BrokenExecutor):
-        return "crash" if isolated else "poisoned-pool"
+        return "crash"
     return "exception"
 
 
@@ -88,25 +97,6 @@ def _percentile(samples: List[float], p: float) -> float:
     return ordered[max(rank, 1) - 1]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential-backoff retry budget for failing cells.
-
-    A cell gets ``max_attempts`` total attempts; before retry ``k``
-    (1-based count of failures so far) the engine sleeps
-    ``min(max_delay, base_delay * 2**(k-1))``. Defaults give three
-    attempts with 50ms/100ms pauses — enough to absorb transient faults
-    without stalling a sweep behind a deterministic crasher.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-
-    def delay(self, failures: int) -> float:
-        return min(self.max_delay, self.base_delay * (2 ** (failures - 1)))
-
-
 @dataclass
 class SweepStats:
     """What one ``run_cells``/``map`` invocation did, and how fast."""
@@ -114,8 +104,9 @@ class SweepStats:
     n_cells: int = 0
     n_cached: int = 0
     n_computed: int = 0
+    #: Re-runs of cells charged with their own failure.
     retries: int = 0
-    #: Shared-pool rebuilds after a worker death broke the pool.
+    #: Pool rebuilds after a worker death or a timeout took the pool down.
     pool_rebuilds: int = 0
     wall: float = 0.0
     mode: str = "serial"
@@ -200,8 +191,7 @@ class SweepExecutor:
                  cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None,
                  worker: Callable[[SimCell], SimResult] = None,
-                 on_summary: Optional[Callable[[str], None]] = None,
-                 retry: Optional[RetryPolicy] = None):
+                 on_summary: Optional[Callable[[str], None]] = None):
         if settings is None:
             settings = Settings.from_env()
         self.settings = settings
@@ -213,7 +203,6 @@ class SweepExecutor:
             run_cell, sanitize=settings.sanitize, trace_out=settings.trace_out)
         self.worker = worker if worker is not None else self.run_cell
         self.on_summary = on_summary
-        self.retry = retry if retry is not None else RetryPolicy()
         self.last_stats: Optional[SweepStats] = None
         #: Lifetime count of worker pools this executor constructed —
         #: the crash-amplification regression gate counts these.
@@ -277,8 +266,8 @@ class SweepExecutor:
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
             labels: Optional[Sequence[str]] = None) -> List[Any]:
         """Apply ``fn`` to every item with the engine's scheduling policy
-        (pool/serial, timeout, bounded backoff retries, HarnessError on
-        failure). Results are returned in input order."""
+        (pool or in-process, timeout, retries of a cell's own failures,
+        HarnessError on failure). Results are returned in input order."""
         t0 = time.perf_counter()
         labels = (list(labels) if labels is not None
                   else [f"item[{i}]" for i in range(len(items))])
@@ -294,205 +283,82 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def _map(self, items: Sequence[Any], fn: Callable[[Any], Any],
              labels: Sequence[str], on_ok: OnOk = _ignore) -> List[Any]:
+        """The scheduling loop; the module docstring states its rules."""
         jobs = max(1, self.settings.jobs)
         stats = SweepStats(jobs=jobs)
         self.last_stats = stats
         if not items:
             return []
-        if jobs <= 1:
-            return self._map_serial(items, fn, labels, stats, on_ok)
-        pool = self._make_pool(jobs)
-        if pool is None:
-            stats.mode = "serial-fallback"
-            return self._map_serial(items, fn, labels, stats, on_ok)
-        stats.mode = "fork-pool"
-        return self._map_pool(pool, items, fn, labels, stats, on_ok)
-
-    def _map_serial(self, items: Sequence[Any], fn: Callable[[Any], Any],
-                    labels: Sequence[str], stats: SweepStats,
-                    on_ok: OnOk) -> List[Any]:
-        out: List[Any] = []
-        failures: List[CellFailure] = []
-        for idx, (item, label) in enumerate(zip(items, labels)):
-            attempts = 0
-            last: Optional[BaseException] = None
-            done = False
-            while attempts < self.retry.max_attempts:
-                if attempts:
-                    stats.retries += 1
-                    time.sleep(self.retry.delay(attempts))
-                attempts += 1
-                try:
-                    elapsed, value = _timed_call(fn, item)
-                    done = True
-                    break
-                except Exception as exc:
-                    last = exc
-            if done:
-                stats.record_cell(elapsed, value)
-                out.append(value)
-                on_ok(idx, value)
-            else:
-                failures.append(CellFailure(
-                    label, classify_exception(last, isolated=True),
-                    attempts, f"{type(last).__name__}: {last}"))
-                out.append(None)
-        if failures:
-            raise HarnessError.from_failures(failures)
-        return out
-
-    def _map_pool(self, pool, items: Sequence[Any],
-                  fn: Callable[[Any], Any], labels: Sequence[str],
-                  stats: SweepStats, on_ok: OnOk) -> List[Any]:
-        n = len(items)
-        out: List[Any] = [None] * n
-        attempts = [0] * n
-        broken_rounds = [0] * n
-        #: (index, first observed exception) for cells that go to the
-        #: isolated retry stage.
-        retry_q: List[Tuple[int, BaseException]] = []
-        pending = list(range(n))
-        current = pool
-        wedged = False
+        out: List[Any] = [None] * len(items)
+        charged = [0] * len(items)
+        failed: Dict[int, CellFailure] = {}
+        batch = list(range(len(items)))
+        solo: List[int] = []
+        pool = self._make_pool(jobs) if jobs > 1 else None
+        pooled = pool is not None
+        if jobs > 1:
+            stats.mode = "fork-pool" if pooled else "serial-fallback"
         try:
-            while pending:
-                wedged = False
-                futs = []
-                broken: List[Tuple[int, BaseException]] = []
-                for i in pending:
-                    attempts[i] += 1
-                    try:
-                        futs.append((i, current.submit(
-                            _timed_call, fn, items[i])))
-                    except BrokenExecutor as exc:
-                        # A just-submitted cell killed its worker before
-                        # the batch finished submitting; the rest of the
-                        # batch joins this round's broken set.
-                        broken.append((i, exc))
-                for i, fut in futs:
-                    try:
-                        elapsed, value = fut.result(timeout=self.timeout)
-                    except _TIMEOUT_EXCS as exc:
-                        wedged = True
-                        retry_q.append((i, exc))
-                        continue
-                    except BrokenExecutor as exc:
-                        broken.append((i, exc))
-                        continue
-                    except Exception as exc:
-                        retry_q.append((i, exc))
-                        continue
-                    stats.record_cell(elapsed, value)
-                    out[i] = value
-                    on_ok(i, value)
-                pending = []
-                if broken:
-                    # A dead worker poisons every un-collected future in
-                    # the shared pool. Rebuild the pool ONCE per breakage
-                    # and resubmit the survivors as a batch — not one
-                    # isolated single-worker pool per innocent cell.
-                    self._shutdown_pool(current, force=wedged)
-                    current = None
-                    wedged = False
-                    # Resubmits stop one attempt short of the budget so
-                    # a repeat offender still gets one *isolated* attempt
-                    # — that is what upgrades "poisoned-pool" (collateral
-                    # damage) to a confirmed "crash".
-                    resubmit_budget = max(1, self.retry.max_attempts - 1)
-                    for i, exc in broken:
-                        broken_rounds[i] += 1
-                        if broken_rounds[i] >= resubmit_budget:
-                            retry_q.append((i, exc))
-                        else:
-                            stats.retries += 1
-                            pending.append(i)
-                    if pending:
+            while batch or solo:
+                run, batch = batch or [solo.pop(0)], []
+                if pooled and pool is None:
+                    # A pool that cannot be rebuilt leaves the rest of the
+                    # sweep to in-process runs.
+                    pool = self._make_pool(jobs)
+                    pooled = pool is not None
+                    if pooled:
                         stats.pool_rebuilds += 1
-                        current = self._make_pool(self.settings.jobs)
-                        if current is None:
-                            # Multiprocessing gave out mid-sweep; the
-                            # isolated stage (which degrades to
-                            # in-process calls) finishes the job.
-                            retry_q.extend(
-                                (i, broken[0][1]) for i in pending)
-                            pending = []
-        finally:
-            if current is not None:
-                self._shutdown_pool(current, force=wedged)
-
-        failures = self._retry_failed(retry_q, items, fn, labels, attempts,
-                                      broken_rounds, out, stats, on_ok)
-        if failures:
-            raise HarnessError.from_failures(failures)
-        return out
-
-    def _retry_failed(self, retry_q, items, fn, labels, attempts,
-                      broken_rounds, out, stats: SweepStats,
-                      on_ok: OnOk) -> List[CellFailure]:
-        """The isolated retry stage: each failed cell gets its remaining
-        attempt budget, with exponential backoff between attempts, in a
-        *shared* single-worker retry pool. Healthy cells that were only
-        collateral damage run back-to-back on the same pool (no
-        per-innocent pool builds — the crash-amplification fix); a cell
-        that crashes or wedges the retry pool costs exactly one rebuild,
-        and its failure is then *confirmed* in isolation."""
-        failures: List[CellFailure] = []
-        pool = None
-        try:
-            for i, first_exc in sorted(retry_q, key=lambda pair: pair[0]):
-                last = first_exc
-                done = False
-                isolated_ran = False
-                while attempts[i] < self.retry.max_attempts:
-                    stats.retries += 1
-                    time.sleep(self.retry.delay(attempts[i]))
-                    attempts[i] += 1
-                    isolated_ran = True
+                results = [self._submit(pool, fn, items[i]) for i in run]
+                for k, (i, result) in enumerate(zip(run, results)):
                     try:
-                        elapsed, value = None, None
-                        if pool is None:
-                            pool = self._make_pool(1)
-                        if pool is None:  # mp unavailable: in-process
-                            elapsed, value = _timed_call(fn, items[i])
-                        else:
-                            try:
-                                fut = pool.submit(_timed_call, fn, items[i])
-                                elapsed, value = fut.result(
-                                    timeout=self.timeout)
-                            except _TIMEOUT_EXCS:
-                                self._shutdown_pool(pool, force=True)
-                                pool = None
-                                raise
-                            except BrokenExecutor:
-                                # submit() raises too when the pool broke
-                                # under the previous cell; either way the
-                                # next attempt gets a fresh pool.
-                                self._shutdown_pool(pool)
-                                pool = None
-                                raise
-                        done = True
-                        break
+                        elapsed, value = result()
                     except Exception as exc:
-                        last = exc
-                if done:
+                        rest = run[k + 1:]
+                        if isinstance(exc, BrokenExecutor) and rest:
+                            # Several cells were in flight, so the break
+                            # is nobody's for sure: the first runs alone.
+                            solo.append(i)
+                        else:
+                            charged[i] += 1
+                            if charged[i] < MAX_ATTEMPTS:
+                                solo.append(i)
+                            else:
+                                failed[i] = CellFailure(
+                                    labels[i], classify_exception(exc),
+                                    charged[i], f"{type(exc).__name__}: {exc}")
+                            if not isinstance(exc, _POOL_LOST):
+                                continue
+                        # The pool is broken or wedged: kill it, and run
+                        # every uncollected cell again, uncharged.
+                        batch = rest
+                        if pool is not None:
+                            self._shutdown_pool(pool, force=True)
+                            pool = None
+                        break
                     stats.record_cell(elapsed, value)
                     out[i] = value
                     on_ok(i, value)
-                    continue
-                kind = classify_exception(last, isolated=isolated_ran)
-                if (kind == "crash" and not isolated_ran
-                        and broken_rounds[i] > 0):
-                    kind = "poisoned-pool"
-                message = f"{type(last).__name__}: {last}"
-                if first_exc is not None and first_exc is not last:
-                    message += (f" (first attempt: "
-                                f"{type(first_exc).__name__}: {first_exc})")
-                failures.append(
-                    CellFailure(labels[i], kind, attempts[i], message))
         finally:
             if pool is not None:
                 self._shutdown_pool(pool)
-        return failures
+        stats.retries = sum(charged) - len(failed)
+        if failed:
+            raise HarnessError.from_failures(failed[i] for i in sorted(failed))
+        return out
+
+    def _submit(self, pool, fn: Callable[[Any], Any],
+                item: Any) -> Callable[[], Tuple[float, Any]]:
+        """Start one run; return the call that collects its ``(elapsed,
+        value)``. In-process (``pool`` None) that call is the run itself.
+        A submission the broken pool refuses fails like its future would."""
+        if pool is None:
+            return functools.partial(_timed_call, fn, item)
+        try:
+            fut = pool.submit(_timed_call, fn, item)
+        except BrokenExecutor as exc:
+            fut = Future()
+            fut.set_exception(exc)
+        return functools.partial(fut.result, timeout=self.timeout)
 
     def _make_pool(self, workers: int):
         """A fork-context process pool, or None when multiprocessing is
@@ -512,9 +378,10 @@ class SweepExecutor:
 
     @staticmethod
     def _shutdown_pool(pool, force: bool = False) -> None:
-        """Shut the pool down; with ``force`` (a cell timed out and its
-        worker may be wedged) terminate workers first, since a plain
-        shutdown would block on the hung cell forever.
+        """Shut the pool down; with ``force`` (a cell timed out or broke
+        the pool, so a worker may be wedged or busy with a run nobody will
+        collect) terminate workers first, since a plain shutdown would
+        block on a hung cell forever.
 
         The worker list must be captured *before* ``shutdown()`` —
         ``ProcessPoolExecutor.shutdown`` drops its ``_processes``

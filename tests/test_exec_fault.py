@@ -1,18 +1,20 @@
 """Fault paths of the sweep executor: hangs, crashes, fallback, CLI.
 
-A worker that fails once (raises, hangs past the timeout, or dies as the
-only crasher of its batch) must be absorbed by the retries, with every
-result back in input order. A wedged or crashing worker must cost a
-bounded number of attempts (:class:`~repro.exec.RetryPolicy`), then
-surface as a clean :class:`~repro.errors.HarnessError` carrying
+A worker that fails once (raises, hangs past the timeout, or dies) must
+be absorbed by the retries, with every result back in input order, however
+many of a batch's cells fail that way. A cell is charged an attempt only
+for its own failure, so a wedged or crashing worker costs at most
+:data:`~repro.exec.MAX_ATTEMPTS` runs of that cell and no sibling's, then
+surfaces as a clean :class:`~repro.errors.HarnessError` carrying
 structured :class:`~repro.errors.CellFailure` records — never a bare
 ``BrokenProcessPool`` — and a failing experiment must not abort the rest
 of an ``rcc-repro all`` run. One worker death must cost one pool
-rebuild, not one isolated pool per innocent sibling cell.
+rebuild, not one pool per innocent sibling cell.
 
 The worker functions live at module level so the fork-based pool can
 pickle them by reference. The fail-once workers remember their first
-call in a sentinel file, which every worker process can see.
+call in a sentinel file of their own, which every worker process can
+see.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ import time
 import pytest
 
 from repro.errors import FAILURE_KINDS, HarnessError
-from repro.exec import RetryPolicy, SweepExecutor
+from repro.exec import MAX_ATTEMPTS, SweepExecutor
 from repro.harness import runner as runner_cli
 from tests.conftest import env_settings
-
-#: Fast retry budget for fault tests: 2 attempts, near-zero backoff.
-FAST2 = RetryPolicy(max_attempts=2, base_delay=0.01)
-FAST3 = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
 def _hang_worker(item):
@@ -48,6 +46,12 @@ def _die_worker(item):
 def _die_if_zero_worker(item):
     if item == 0:
         os._exit(3)
+    return item * 2
+
+
+def _hang_if_zero_worker(item):
+    if item == 0:
+        time.sleep(60)
     return item * 2
 
 
@@ -72,6 +76,16 @@ def _crash_once_worker(item):
     return x * 2
 
 
+def _crash_max_attempts_worker(item):
+    """Kills its worker on each of its first ``MAX_ATTEMPTS`` runs."""
+    x, sentinel = item
+    if sentinel is not None:
+        for k in range(MAX_ATTEMPTS):
+            if _first_call(f"{sentinel}-{k}"):
+                os._exit(3)
+    return x * 2
+
+
 def _hang_once_worker(item):
     x, sentinel = item
     if _first_call(sentinel):
@@ -80,8 +94,9 @@ def _hang_once_worker(item):
 
 
 def _once_items(tmp_path, n, faulty):
-    """``n`` items ``(x, sentinel)``; only item ``faulty`` has a sentinel."""
-    return [(x, str(tmp_path / "sentinel") if x == faulty else None)
+    """``n`` items ``(x, sentinel)``; each item in ``faulty`` has a
+    sentinel of its own, and the rest have None."""
+    return [(x, str(tmp_path / f"sentinel-{x}") if x in faulty else None)
             for x in range(n)]
 
 
@@ -95,50 +110,48 @@ def _boom_cell_worker(cell, **settings):
 
 class TestTimeoutAndRetry:
     def test_hung_worker_times_out_retried_then_harness_error(self):
-        ex = SweepExecutor(env_settings(jobs=2), timeout=0.75, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.75)
         t0 = time.perf_counter()
         with pytest.raises(HarnessError) as err:
             ex.map(_hang_worker, [1], labels=["wedged-cell"])
         assert time.perf_counter() - t0 < 20, "hung worker was not reaped"
-        assert ex.last_stats.retries == 1
+        assert ex.last_stats.retries == MAX_ATTEMPTS - 1
         assert "wedged-cell" in str(err.value)
         assert "TimeoutError" in str(err.value)
         (failure,) = err.value.failures
         assert failure.kind == "timeout"
-        assert failure.attempts == 2
+        assert failure.attempts == MAX_ATTEMPTS
 
     def test_raising_worker_retried_then_harness_error(self):
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["x"])
-        assert ex.last_stats.retries == 1
+        assert ex.last_stats.retries == MAX_ATTEMPTS - 1
         assert "kaboom" in str(err.value)
         (failure,) = err.value.failures
         assert failure.kind == "exception"
+        assert failure.attempts == MAX_ATTEMPTS
 
     def test_dead_worker_not_a_bare_broken_process_pool(self):
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_worker, [1])
         (failure,) = err.value.failures
-        # The last attempt ran in an isolated single-worker pool, so the
-        # crash is *confirmed* — not collateral "poisoned-pool" damage.
         assert failure.kind == "crash"
-        assert failure.attempts == 3
+        assert failure.attempts == MAX_ATTEMPTS
 
     def test_transient_failure_recovers_on_retry(self, tmp_path):
         for jobs in (1, 2):
             sentinel = str(tmp_path / f"sentinel-{jobs}")
-            ex = SweepExecutor(env_settings(jobs=jobs), timeout=30.0,
-                               retry=FAST2)
+            ex = SweepExecutor(env_settings(jobs=jobs), timeout=30.0)
             assert ex.map(_flaky_worker, [sentinel]) == ["ok"], jobs
             assert ex.last_stats.retries == 1, jobs
 
     def test_serial_failure_also_wrapped(self):
-        ex = SweepExecutor(env_settings(jobs=1), retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=1))
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["y"])
-        assert ex.last_stats.retries == 1
+        assert ex.last_stats.retries == MAX_ATTEMPTS - 1
         assert "kaboom" in str(err.value)
         (failure,) = err.value.failures
         assert failure.kind == "exception"
@@ -147,60 +160,86 @@ class TestTimeoutAndRetry:
         # map() is all-or-error per batch, but the error must arrive only
         # after every healthy cell had its chance (results are computed
         # before the batch raises).
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError) as err:
             ex.map(_boom_worker, ["a", "b"])
         assert str(err.value).startswith("2 cell(s) failed")
         assert [f.kind for f in err.value.failures] == ["exception"] * 2
 
-    def test_backoff_is_bounded_exponential(self):
-        policy = RetryPolicy(max_attempts=9, base_delay=0.05, max_delay=0.3)
-        delays = [policy.delay(k) for k in range(1, 6)]
-        assert delays == [0.05, 0.1, 0.2, 0.3, 0.3]
-
 
 class TestPoolRebuild:
-    """One dead worker used to poison every un-collected future and burn
-    one isolated single-worker pool per innocent cell (crash
-    amplification). Now: rebuild the shared pool once and resubmit."""
+    """One dead worker breaks the shared pool under every uncollected
+    cell. The break is charged to nobody unless the cell was alone in
+    flight: the first uncollected cell runs alone next, the rest share a
+    rebuilt pool, and no cell fails for a sibling's crash."""
 
     def test_one_crasher_does_not_amplify_pool_builds(self):
         items = [0, 1, 2, 3, 4, 5]
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_if_zero_worker, items)
         # Only the actual crasher surfaces, classified in the taxonomy.
         (failure,) = err.value.failures
-        assert failure.kind in ("crash", "poisoned-pool")
+        assert failure.kind == "crash"
         assert failure.kind in FAILURE_KINDS
-        # Initial pool + at most 2 rebuilds + 1 isolated retry pool; the
-        # old per-sibling amplification would have built ~len(items).
+        # The initial pool plus one per attempt the crasher makes alone;
+        # a pool per sibling would have built ~len(items).
         assert ex.pools_built <= 4, (
             f"{ex.pools_built} pools built for one crasher "
             f"among {len(items)} cells")
         assert ex.last_stats.pool_rebuilds >= 1
 
     def test_crash_once_recovers_in_order(self, tmp_path):
-        # Exactly one crasher: a collateral pool break counts against a
-        # cell's attempts, so several crashers could leave a healthy
-        # cell at its last attempt before it ever ran.
-        items = _once_items(tmp_path, 6, faulty=2)
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        items = _once_items(tmp_path, 6, faulty={2})
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         assert ex.map(_crash_once_worker, items) == [0, 2, 4, 6, 8, 10]
         assert ex.last_stats.pool_rebuilds >= 1
 
+    def test_every_cell_crashing_once_recovers_in_order(self, tmp_path):
+        # Each break is some cell's first call, so at most one pool per
+        # cell is rebuilt. A break must not be charged to the cells that
+        # were only in flight with the crasher, or some would reach their
+        # last attempt before their first run.
+        items = _once_items(tmp_path, 12, faulty=set(range(12)))
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
+        assert ex.map(_crash_once_worker, items) == [2 * x
+                                                     for x in range(12)]
+        assert ex.pools_built <= 13, f"{ex.pools_built} pools built"
+
+    def test_break_with_siblings_in_flight_is_charged_to_nobody(
+            self, tmp_path):
+        # Item 0's first run breaks the pool under its siblings, so it is
+        # not charged; its next MAX_ATTEMPTS - 1 runs break it alone and
+        # are, which leaves one more run inside its budget.
+        items = _once_items(tmp_path, 4, faulty={0})
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
+        assert ex.map(_crash_max_attempts_worker, items) == [0, 2, 4, 6]
+        assert ex.last_stats.retries == MAX_ATTEMPTS - 1
+
     def test_healthy_siblings_complete_despite_crasher(self):
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError) as err:
             ex.map(_die_if_zero_worker, [0, 1, 2, 3])
         labels = [f.label for f in err.value.failures]
         assert labels == ["item[0]"], (
             f"innocent cells surfaced as failures: {labels}")
 
+    def test_healthy_siblings_complete_despite_hanger(self):
+        ex = SweepExecutor(env_settings(jobs=2), timeout=1.0)
+        with pytest.raises(HarnessError) as err:
+            ex.map(_hang_if_zero_worker, [0, 1, 2, 3])
+        labels = [f.label for f in err.value.failures]
+        assert labels == ["item[0]"], (
+            f"innocent cells surfaced as failures: {labels}")
+        (failure,) = err.value.failures
+        assert failure.kind == "timeout"
+        assert failure.attempts == MAX_ATTEMPTS
+
 
 class TestWedgedWorkerReaping:
-    """``_shutdown_pool(force=True)`` and the isolated retry stage must
-    reap wedged worker processes — a timed-out campaign leaks nothing."""
+    """``_shutdown_pool(force=True)`` must reap wedged worker processes,
+    whether they hung in a shared batch or alone — a timed-out campaign
+    leaks nothing."""
 
     def _assert_no_leaked_children(self, before, deadline_s=10.0):
         t0 = time.perf_counter()
@@ -214,25 +253,25 @@ class TestWedgedWorkerReaping:
 
     def test_timeout_reaps_wedged_workers(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5, retry=FAST2)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5)
         with pytest.raises(HarnessError):
             ex.map(_hang_worker, [1, 2], labels=["w1", "w2"])
         self._assert_no_leaked_children(before)
 
     def test_isolated_retry_pool_reaped_on_timeout(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=0.5)
         with pytest.raises(HarnessError) as err:
             ex.map(_hang_worker, [1])
         (failure,) = err.value.failures
         assert failure.kind == "timeout"
-        assert failure.attempts == 3
+        assert failure.attempts == MAX_ATTEMPTS
         self._assert_no_leaked_children(before)
 
     def test_hang_once_recovers_in_order(self, tmp_path):
         before = set(multiprocessing.active_children())
-        items = _once_items(tmp_path, 4, faulty=1)
-        ex = SweepExecutor(env_settings(jobs=2), timeout=1.0, retry=FAST3)
+        items = _once_items(tmp_path, 4, faulty={1})
+        ex = SweepExecutor(env_settings(jobs=2), timeout=1.0)
         t0 = time.perf_counter()
         assert ex.map(_hang_once_worker, items) == [0, 2, 4, 6]
         assert time.perf_counter() - t0 < 20, "hung worker was not reaped"
@@ -241,7 +280,7 @@ class TestWedgedWorkerReaping:
 
     def test_crash_then_success_leaves_no_processes(self):
         before = set(multiprocessing.active_children())
-        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0, retry=FAST3)
+        ex = SweepExecutor(env_settings(jobs=2), timeout=30.0)
         with pytest.raises(HarnessError):
             ex.map(_die_if_zero_worker, [0, 1, 2])
         self._assert_no_leaked_children(before)

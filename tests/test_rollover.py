@@ -4,6 +4,8 @@ A tiny timestamp width forces frequent rollovers; execution must stay
 correct (all ops complete, values flow) across them.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.config import GPUConfig, TimestampConfig
@@ -11,6 +13,7 @@ from repro.core.rollover import RolloverManager
 from repro.gpu.trace import compute_op, load_op, store_op
 from repro.sim.gpusim import GPUSimulator, run_simulation
 from repro.timing.engine import Engine
+from repro.workloads import get_workload
 from tests.conftest import program_traces
 
 
@@ -100,6 +103,32 @@ def test_wide_timestamps_never_roll_over():
     }), "no-rollover")
     res = sim.run()
     assert res.rollovers == 0
+
+
+def short_mshr_cfg():
+    """Two L2 MSHRs per bank queue requests across rollovers, and 8-bit
+    timestamps with 32-cycle leases roll over every few hundred cycles."""
+    cfg = GPUConfig.small()
+    return cfg.replace(
+        l2_per_bank=dataclasses.replace(cfg.l2_per_bank, mshr_entries=2),
+        ts=dataclasses.replace(cfg.ts, bits=8, lease_max=32,
+                               lease_default=32),
+        max_cycles=300_000)
+
+
+@pytest.mark.parametrize("protocol,seed",
+                         [("RCC", 1), ("RCC", 3), ("RCC-WO", 4)])
+def test_request_queued_across_rollover_does_not_livelock(protocol, seed):
+    """A request that waited out a rollover carries a stale-epoch ``now``
+    that must count as zero when the bank decides whether to roll over
+    again; read unclamped, it sits in the guard band and restarts a
+    rollover at every presentation until ``max_cycles`` is hit."""
+    cfg = short_mshr_cfg()
+    wl = get_workload("kmn", intensity=0.5, seed=seed)
+    res = run_simulation(cfg, protocol, wl.generate(cfg), "kmn",
+                         sanitize=True)
+    assert res.rollovers >= 1
+    assert res.cycles < 50_000
 
 
 class TestStormRegime:

@@ -140,6 +140,22 @@ def test_rcc_rollover_epoch():
     assert_pinned(bank, check, rollover, None, bank)
 
 
+def test_rcc_stale_epoch_now_leaves_the_guard_band():
+    # A request whose ``now`` is in the guard band goes to the full path.
+    # Once a rollover makes its epoch stale, that ``now`` counts as zero
+    # (as ``on_message`` clamps it), so the check must see it blocked.
+    bank = bank_of("RCC", bits=8, lease_max=32, lease_default=32)
+    full_rcc_mshr(bank)
+    msg = request(now=bank.rollover.threshold)
+    msg.meta["epoch"] = bank.rollover.epoch
+    check = bank._retry_check(msg)
+
+    def rollover():
+        bank.rollover_reset()
+        bank.rollover.epoch += 1
+    assert_pinned(bank, check, rollover, None, bank)
+
+
 # ----------------------------------------------------------------------
 # TC-strong and TC-weak
 # ----------------------------------------------------------------------
