@@ -109,15 +109,23 @@ class L1ControllerBase:
     def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
         raise NotImplementedError
 
-    def would_stall(self, kind: MemOpKind, addr: int) -> bool:
+    def would_stall(self, kind: MemOpKind, addr: int) -> Any:
         """Side-effect-free probe of ``access``'s STALL exits.
 
         The core consults this before building the (surprisingly expensive)
         :class:`MemOpRecord` for an attempt that would only bounce off a
-        full MSHR. Contract: True must imply that ``access`` would return
-        STALL right now; False may be wrong (the core still handles a STALL
-        from ``access`` itself), so overrides can be conservative — but
-        never optimistic.
+        full MSHR. It has three answers:
+
+        * ``False``: ``access`` may proceed. This may be wrong (the core
+          still handles a STALL from ``access`` itself), so overrides can
+          be conservative — but never optimistic;
+        * ``True``: ``access`` would return STALL right now;
+        * a *gate*: ``access`` would return STALL right now, and for as
+          long as the gate stays truthy. The core skips the re-probe of an
+          op whose gate is still shut, so a gate must be the very state
+          the verdict reads: the blocking entry's ``pending_stores`` (a
+          store behind an earlier one to its block), or
+          ``mshr.full_gate`` (a full file with no entry for the block).
         """
         return False
 

@@ -43,9 +43,10 @@ class MESIL1Controller(L1ControllerBase):
             return self._load(record, warp)
         return self._store_or_atomic(record, warp)
 
-    def would_stall(self, kind: MemOpKind, addr: int) -> bool:
+    def would_stall(self, kind: MemOpKind, addr: int):
         # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (True must imply access() would STALL; see the base class).
+        # sync (a truthy answer must imply access() would STALL, a gate for
+        # as long as it stays truthy; see the base class).
         shift = self.amap._block_shift
         block = (addr >> shift) << shift
         mshr = self.mshr
@@ -55,11 +56,11 @@ class MESIL1Controller(L1ControllerBase):
             if line is not None and line.state is L1State.V:
                 return False
             if entry is None and len(mshr._entries) >= mshr.capacity:
-                return True
+                return mshr.full_gate
             return line is None and not self.cache.can_allocate(block)
-        if entry is not None and entry.pending_stores:
-            return True
-        return entry is None and len(mshr._entries) >= mshr.capacity
+        if entry is not None:
+            return entry.pending_stores or False
+        return len(mshr._entries) >= mshr.capacity and mshr.full_gate
 
     def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
         block = self.block_of(record.addr)

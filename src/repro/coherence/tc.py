@@ -53,9 +53,10 @@ class TCL1Controller(L1ControllerBase):
             return self._load(record, warp)
         return self._store_or_atomic(record, warp)
 
-    def would_stall(self, kind: MemOpKind, addr: int) -> bool:
+    def would_stall(self, kind: MemOpKind, addr: int):
         # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (True must imply access() would STALL; see the base class).
+        # sync (a truthy answer must imply access() would STALL, a gate for
+        # as long as it stays truthy; see the base class).
         shift = self.amap._block_shift
         block = (addr >> shift) << shift
         mshr = self.mshr
@@ -67,11 +68,12 @@ class TCL1Controller(L1ControllerBase):
                     and self.engine.now <= line.exp):  # lease_valid, inlined
                 return False
             if entry is None and len(entries) >= mshr.capacity:
-                return True
+                return mshr.full_gate
             return line is None and not self.cache.can_allocate(block)
-        if self.strong and entry is not None and entry.pending_stores:
-            return True
-        return entry is None and len(entries) >= mshr.capacity
+        if entry is not None:
+            # TCW's stores do not serialize, so they get no same-block gate.
+            return self.strong and entry.pending_stores or False
+        return len(entries) >= mshr.capacity and mshr.full_gate
 
     def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
         block = self.block_of(record.addr)

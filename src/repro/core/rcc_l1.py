@@ -94,9 +94,10 @@ class RCCL1Controller(L1ControllerBase):
             return self._load(record, warp)
         return self._store_or_atomic(record, warp)
 
-    def would_stall(self, kind: MemOpKind, addr: int) -> bool:
+    def would_stall(self, kind: MemOpKind, addr: int):
         # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (True must imply access() would STALL; see the base class).
+        # sync (a truthy answer must imply access() would STALL, a gate for
+        # as long as it stays truthy; see the base class).
         # _read_now() is a pure read in both RCC and RCC-WO, so probing a
         # load's hit predicate here advances nothing.
         shift = self.amap._block_shift
@@ -109,9 +110,10 @@ class RCCL1Controller(L1ControllerBase):
                     and lease_valid(self._read_now(), line.exp)):
                 return False
             if entry is None and len(mshr._entries) >= mshr.capacity:
-                return True
+                return mshr.full_gate
             return line is None and not self.cache.can_allocate(block)
-        return entry is None and len(mshr._entries) >= mshr.capacity
+        return (entry is None and len(mshr._entries) >= mshr.capacity
+                and mshr.full_gate)
 
     def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
         block = self.block_of(record.addr)

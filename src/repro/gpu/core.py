@@ -19,7 +19,7 @@ barrier release wakes it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.types import AccessOutcome, MemOpKind
 from repro.errors import SimulationError
@@ -93,6 +93,11 @@ class GPUCore:
         #: core so the per-cycle scan rejects on a list load instead of a
         #: warp attribute chain.
         self._busy = [0 if w.n_ops else _NEVER for w in self.warps]
+        #: Issue-gate column, indexed like ``_busy``: the gate the L1 gave
+        #: the warp's last structurally stalled probe (see
+        #: ``L1ControllerBase.would_stall``). While it is truthy the op
+        #: would still STALL, so the scan skips the probe.
+        self._gates: List[Any] = [None] * len(self.warps)
         for t in traces:
             t.validate()
         self.l1 = None  # attached by the simulator after construction
@@ -163,6 +168,8 @@ class GPUCore:
         wo_max = self._wo_max
         stats = self.stats
         busy = self._busy
+        gates = self._gates
+        op_seq = _warp_mod._op_seq
         schedule = self.engine.schedule
         compute_kind = MemOpKind.COMPUTE
         barrier_kind = MemOpKind.BARRIER
@@ -178,6 +185,22 @@ class GPUCore:
             # authoritative (and historically ordered) conditions; all are
             # pure reads, so evaluating busy first is unobservable.
             if busy[j] > now:
+                continue
+            # A shut issue gate: the warp's global memory op bounced off
+            # its L1, and the state that bounced it still holds. The skip
+            # is exact. The gated warp passed its consistency gate, which
+            # cannot close before it issues: under SC it has no
+            # outstanding op, and under WO it is below ``wo_max`` with no
+            # fence pending (its op is not a fence, and completions only
+            # lower the count). So the unskipped scan would have probed,
+            # or found the slot taken, and the skip does the same
+            # bookkeeping: one structural stall and one op id per probe.
+            if gates[j]:
+                if issued:
+                    more_ready = True
+                else:
+                    next(op_seq)
+                    stats.structural_stalls += 1
                 continue
             warp = warps[j]
             pc = warp.pc
@@ -292,13 +315,17 @@ class GPUCore:
         return "issued"
 
     def _issue_mem(self, warp: Warp, now: int, op) -> str:
-        if self.l1.would_stall(op.kind, op.addr):
-            # Structural stall (MSHR full, set conflict), detected without
-            # building the record. The op-id stream still advances one per
-            # attempt — write tokens embed ``record.seq``, so elided
-            # attempts must consume the id the constructor would have.
+        gate = self.l1.would_stall(op.kind, op.addr)
+        if gate:
+            # Structural stall (MSHR full, set conflict, a same-block store
+            # in flight), detected without building the record. The op-id
+            # stream still advances one per attempt — write tokens embed
+            # ``record.seq``, so elided attempts must consume the id the
+            # constructor would have.
             next(_warp_mod._op_seq)
             self.stats.structural_stalls += 1
+            if gate is not True:
+                self._gates[warp.idx] = gate
             return "blocked"
         record = MemOpRecord(op.kind, op.addr, self.core_id, warp.warp_id,
                              warp.pc)
@@ -323,6 +350,9 @@ class GPUCore:
                 self.stats.sc_stall_by_blocker[warp.stall_blocker] += stall
             warp.stall_start = None
             warp.stall_blocker = None
+        # The gate belonged to this op; a ``pending_stores`` gate may fill
+        # again with later stores, and must not skip the next op.
+        self._gates[warp.idx] = None
         warp.pc += 1
         if warp.pc >= warp.n_ops:
             self._busy[warp.idx] = _NEVER

@@ -54,6 +54,11 @@ class MSHRFile:
         self.peak_occupancy = 0
         #: Bumped whenever the set of entries changes.
         self.version = 0
+        #: The L1s' full-file gate (``L1ControllerBase.would_stall``): a
+        #: one-element list, emptied and replaced each time an entry
+        #: leaves, so a reference taken while the file is full stays
+        #: truthy until the next release.
+        self.full_gate = [None]
 
     def get(self, addr: int) -> Optional[MSHREntry]:
         return self._entries.get(addr)
@@ -86,12 +91,16 @@ class MSHRFile:
             )
         del self._entries[addr]
         self.version += 1
+        self.full_gate.clear()
+        self.full_gate = [None]
 
     def release_if_empty(self, addr: int) -> bool:
         entry = self._entries.get(addr)
         if entry is not None and entry.empty:
             del self._entries[addr]
             self.version += 1
+            self.full_gate.clear()
+            self.full_gate = [None]
             return True
         return False
 
@@ -103,7 +112,3 @@ class MSHRFile:
 
     def entries(self):
         return list(self._entries.values())
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.version += 1

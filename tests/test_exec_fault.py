@@ -258,7 +258,7 @@ class TestWedgedWorkerReaping:
             ex.map(_hang_worker, [1, 2], labels=["w1", "w2"])
         self._assert_no_leaked_children(before)
 
-    def test_isolated_retry_pool_reaped_on_timeout(self):
+    def test_permanent_hanger_times_out_leaving_no_child(self):
         before = set(multiprocessing.active_children())
         ex = SweepExecutor(env_settings(jobs=2), timeout=0.5)
         with pytest.raises(HarnessError) as err:
