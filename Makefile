@@ -6,7 +6,7 @@ PYPATH   := PYTHONPATH=src
 JOBS     ?= 4
 
 .PHONY: test test-fast test-exec fuzz fuzz-smoke hostile hostile-smoke \
-        sanitize bench timing ab report report-par clean-cache
+        sanitize timing ab report report-par clean-cache
 
 test:            ## tier-1: the full test suite
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -21,7 +21,7 @@ test-exec:       ## sweep-executor battery: equivalence, cache, faults
 fuzz-smoke:      ## just the bounded differential fuzz campaigns (<30s)
 	$(PYPATH) $(PY) -m pytest -x -q -m fuzz_smoke
 
-sanitize:        ## quick experiment grid + bounded fuzz, invariant-checked
+sanitize:        ## quick experiment grid (claims checked) + bounded fuzz, invariant-checked
 	$(PYPATH) $(PY) -m repro.harness.runner all --quick --sanitize
 	$(PYPATH) $(PY) -m repro.fuzz.cli --seed 0 --programs 200 --sanitize
 
@@ -36,9 +36,6 @@ hostile:         ## a deep hostile-lab campaign, archiving any finds
 	$(PYPATH) $(PY) -m repro.fuzz.cli --workloads --runs 100 -v \
 	    --save-cells tests/corpus
 
-bench:           ## paper figures/tables under pytest-benchmark
-	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only
-
 timing:          ## the calibrated per-layer benchmark (bench/README.md)
 	python3 bench/run.py
 
@@ -46,7 +43,7 @@ ab:              ## interleaved A/B of this tree against REF=<sha>
 	@test -n "$(REF)" || { echo "usage: make ab REF=<sha>"; exit 2; }
 	python3 bench/ab.py $(REF)
 
-report:          ## regenerate every experiment with paper-vs-measured
+report:          ## regenerate every experiment; exit 1 if a claim breaks
 	$(PYPATH) $(PY) -m repro.harness.runner all
 
 report-par:      ## same, fanned out over JOBS worker processes

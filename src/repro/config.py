@@ -193,11 +193,11 @@ class GPUConfig:
 
     @staticmethod
     def bench() -> "GPUConfig":
-        """Mid-sized machine used by the figure-regeneration benchmarks:
-        a smaller core/bank count than Table III (so full protocol sweeps
-        finish in seconds under pytest-benchmark) but the paper's *memory
-        latencies* — the quantities every coherence trade-off is priced
-        in — are kept at their Table III values."""
+        """Mid-sized machine used to regenerate the figures (``rcc-repro``)
+        and by the timing benchmark: a smaller core/bank count than
+        Table III (so full protocol sweeps finish in seconds) but the
+        paper's *memory latencies* — the quantities every coherence
+        trade-off is priced in — are kept at their Table III values."""
         cfg = GPUConfig(
             n_cores=8,
             warps_per_core=24,

@@ -2,9 +2,10 @@
 
 Each ``fig*``/``table*`` function runs the required simulations and returns
 an :class:`~repro.harness.experiments.ExperimentResult` whose rows mirror
-what the paper plots; ``repro.harness.runner`` provides the CLI
-(``rcc-repro <experiment>``), and ``benchmarks/`` wraps the same functions
-in pytest-benchmark with shape assertions.
+what the paper plots and whose claims carry their verdicts: each shape the
+paper reports is checked against the measured numbers.
+``repro.harness.runner`` provides the CLI (``rcc-repro <experiment>``),
+which exits 1 when a claim breaks.
 """
 
 from repro.harness.experiments import (

@@ -18,8 +18,11 @@ defaults to ``RCC_JOBS`` (serial if unset); results are identical to a
 serial run either way. The ``RCC_*`` variables are read once, at entry
 (:mod:`repro.settings`).
 
-A failing experiment no longer aborts the rest: the runner reports it,
-continues with the remaining experiments, and exits non-zero at the end.
+Every claim an experiment makes carries its verdict, and the output
+prints it. A failing experiment does not abort the rest: the runner
+reports it, continues with the remaining experiments, and exits 1 at the
+end, as it does when any claim's verdict is false (each broken claim is
+named on stderr). ``--report`` opens with a summary table of every claim.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.config import GPUConfig
 from repro.exec import ResultCache, SweepExecutor
 from repro.settings import Settings, cli_parent, cli_settings
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, \
-    Harness
+    Harness, verdict
 from repro.harness.tables import render_markdown
 
 
@@ -91,14 +94,22 @@ def select(names: List[str]) -> List[str]:
 def build_report(results: List[ExperimentResult]) -> str:
     """The markdown report for ``--report``, deterministic in its inputs."""
     parts: List[str] = []
+    summary = [[desc, paper, measured, verdict(holds)]
+               for result in results
+               for desc, (paper, measured, holds) in result.claims.items()]
+    if summary:
+        parts.append("## Summary of claims\n")
+        parts.append(render_markdown(["claim", "paper", "measured", "holds"],
+                                     summary))
+        parts.append("")
     for result in results:
         parts.append(f"## {result.title}\n")
         parts.append(render_markdown(result.columns, result.rows))
         if result.claims:
             parts.append("\n**Paper vs measured:**\n")
-            for desc, (paper, measured) in result.claims.items():
-                parts.append(
-                    f"- {desc}: paper *{paper}*, measured *{measured}*")
+            for desc, (paper, measured, holds) in result.claims.items():
+                parts.append(f"- {desc}: paper *{paper}*, measured "
+                             f"*{measured}*, holds: {verdict(holds)}")
         parts.append("")
     return "\n".join(parts)
 
@@ -145,11 +156,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.report, "w") as f:
             f.write(build_report(succeeded))
         print(f"report written to {args.report}")
+    broken = [f"{result.name}: {desc}" for result in succeeded
+              for desc, (_, _, holds) in result.claims.items() if not holds]
+    for claim in broken:
+        print(f"[claim broken: {claim}]", file=sys.stderr)
     if failures:
         print(f"{len(failures)} experiment(s) failed: "
               + ", ".join(name for name, _ in failures), file=sys.stderr)
-        return 1
-    return 0
+    if broken:
+        print(f"{len(broken)} claim(s) broken", file=sys.stderr)
+    return 1 if failures or broken else 0
 
 
 if __name__ == "__main__":

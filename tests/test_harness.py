@@ -7,7 +7,7 @@ from repro.harness.complexity import PAPER_TABLE_V, implementation_states, \
     table_v_rows
 from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, \
     Harness
-from repro.harness.runner import build_parser, main, select
+from repro.harness.runner import build_parser, build_report, main, select
 from repro.harness.tables import fmt, render_markdown, render_table
 
 
@@ -82,10 +82,13 @@ class TestHarness:
     def test_experiment_result_render(self):
         exp = ExperimentResult("x", "Title", ["a", "b"])
         exp.add_row(1, 2)
-        exp.claim("thing", "10%", "12%")
+        exp.claim("thing", "10%", "12%", True)
+        exp.claim("other", "5%", "-3%", False)
         exp.notes.append("a note")
         text = exp.render()
         assert "Title" in text and "paper 10%" in text and "a note" in text
+        assert "thing: paper 10% | measured 12% | holds: yes" in text
+        assert "other: paper 5% | measured -3% | holds: NO" in text
 
 
 class TestRunnerCLI:
@@ -109,3 +112,34 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "Table I" in out
         assert report.read_text().startswith("## Table I")
+
+    def test_report_without_claims_has_no_summary(self):
+        exp = ExperimentResult("t", "T", ["x"])
+        exp.add_row(1)
+        assert build_report([exp]) == "## T\n\n| x |\n|---|\n| 1 |\n"
+
+    def test_report_summary_shows_each_verdict(self):
+        a = ExperimentResult("a", "A", ["x"])
+        a.claim("holding shape", "1", "2", True)
+        b = ExperimentResult("b", "B", ["x"])
+        b.claim("broken shape", "3", "4", False)
+        report = build_report([a, b])
+        assert report.startswith("## Summary of claims\n")
+        assert "| holding shape | 1 | 2 | yes |" in report
+        assert "| broken shape | 3 | 4 | NO |" in report
+        assert "- broken shape: paper *3*, measured *4*, holds: NO" in report
+
+    @pytest.mark.parametrize("holds,rc", [(True, 0), (False, 1)])
+    def test_claim_verdict_sets_exit_code(self, monkeypatch, capsys, holds,
+                                          rc):
+        def table1(self):
+            exp = ExperimentResult("table1", "Table I - stub", ["a"])
+            exp.claim("stub shape", "paper", "measured", holds)
+            return exp
+
+        monkeypatch.setattr(Harness, "table1", table1)
+        assert main(["table1", "table4", "--quick", "--no-cache"]) == rc
+        captured = capsys.readouterr()
+        assert "Table IV" in captured.out, "later experiment did not run"
+        assert ("[claim broken: table1: stub shape]" in captured.err) \
+            == (not holds)
