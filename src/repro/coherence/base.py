@@ -20,11 +20,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.addresses import AddressMap
 from repro.common.messages import Message
-from repro.common.types import AccessOutcome, MemOpKind, MsgKind
+from repro.common.types import L1State, MemOpKind, MsgKind
 from repro.config import GPUConfig
 from repro.errors import ProtocolError
 from repro.gpu.warp import MemOpRecord, Warp
-from repro.mem.cache_array import CacheArray
+from repro.mem.cache_array import CacheArray, CacheLine
 from repro.mem.dram import DRAMPartition
 from repro.mem.mshr import MSHRFile
 from repro.noc.crossbar import Crossbar
@@ -77,7 +77,8 @@ class L2Stats:
 
 
 class L1ControllerBase:
-    """Common L1 plumbing; subclasses implement ``access``/``on_message``."""
+    """Common L1 plumbing and the stall rule; subclasses implement
+    ``_hit``, ``_load``, ``_store_or_atomic`` and ``on_message``."""
 
     def __init__(self, core_id: int, engine: Engine, cfg: GPUConfig,
                  noc: Crossbar, amap: AddressMap, invalid_state: Any):
@@ -104,30 +105,52 @@ class L1ControllerBase:
         core.attach_l1(self)
 
     # ------------------------------------------------------------------
-    # Protocol interface (abstract)
+    # Protocol interface
     # ------------------------------------------------------------------
-    def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    #: Whether a store waits in the MSHR behind an earlier store to its
+    #: block until that store's ack returns (MESI, SC-IDEAL, TC-strong).
+    serializes_stores: bool
+
+    def _hit(self, line: CacheLine) -> bool:
+        """Whether a load may read ``line``, a resident tag entry, now.
+        A pure read: the issue-stage probe asks it too."""
         raise NotImplementedError
 
     def would_stall(self, kind: MemOpKind, addr: int) -> Any:
-        """Side-effect-free probe of ``access``'s STALL exits.
+        """The L1's one stall rule: may an op of ``kind`` to ``addr`` go
+        into :meth:`access` now? A pure read, with three answers:
 
-        The core consults this before building the (surprisingly expensive)
-        :class:`MemOpRecord` for an attempt that would only bounce off a
-        full MSHR. It has three answers:
-
-        * ``False``: ``access`` may proceed. This may be wrong (the core
-          still handles a STALL from ``access`` itself), so overrides can
-          be conservative — but never optimistic;
-        * ``True``: ``access`` would return STALL right now;
-        * a *gate*: ``access`` would return STALL right now, and for as
-          long as the gate stays truthy. The core skips the re-probe of an
-          op whose gate is still shut, so a gate must be the very state
-          the verdict reads: the blocking entry's ``pending_stores`` (a
-          store behind an earlier one to its block), or
-          ``mshr.full_gate`` (a full file with no entry for the block).
+        * ``False``: it may;
+        * ``True``: it may not (a load whose set has every way pinned);
+        * a *gate*: it may not, for as long as the gate stays truthy. The
+          core skips the re-probe of an op whose gate is still shut, so a
+          gate must be the very state the verdict reads: the blocking
+          entry's ``pending_stores`` (a store behind an earlier one to
+          its block), or ``mshr.full_gate`` (a full file with no entry for
+          the block).
         """
-        return False
+        shift = self.amap._block_shift
+        block = (addr >> shift) << shift
+        mshr = self.mshr
+        entries = mshr._entries
+        entry = entries.get(block)
+        if kind is MemOpKind.LOAD:
+            line = self.cache._map.get(block)
+            if line is not None and self._hit(line):
+                return False
+            if entry is None and len(entries) >= mshr.capacity:
+                return mshr.full_gate
+            return line is None and not self.cache.can_allocate(block)
+        if entry is not None:
+            return self.serializes_stores and entry.pending_stores or False
+        return len(entries) >= mshr.capacity and mshr.full_gate
+
+    def access(self, record: MemOpRecord, warp: Warp) -> None:
+        """Take one memory op whose :meth:`would_stall` probe was falsy."""
+        if record.kind is MemOpKind.LOAD:
+            self._load(record, warp)
+        else:
+            self._store_or_atomic(record, warp)
 
     def on_message(self, msg: Message) -> None:
         raise NotImplementedError
@@ -179,6 +202,18 @@ class L1ControllerBase:
             self.stats.stores += 1
         elif record.kind is MemOpKind.ATOMIC:
             self.stats.atomics += 1
+
+    def _maybe_release(self, block: int) -> None:
+        """Free ``block``'s MSHR entry once it tracks no request, and unpin
+        its line; an IV placeholder left without requests is dropped."""
+        entry = self.mshr.get(block)
+        if entry is not None and entry.empty:
+            self.mshr.release(block)
+            line = self.cache._map.get(block)
+            if line is not None:
+                line.pinned = False
+                if line.state is L1State.IV:
+                    self.cache.remove(block)
 
     def _emit(self, kind: str, addr: int, **fields: Any) -> None:
         """Forward one protocol step to the attached sanitizer. Call sites

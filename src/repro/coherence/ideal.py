@@ -17,30 +17,13 @@ from typing import List
 
 from repro.coherence.mesi import MESIL1Controller, MESIL2Controller
 from repro.common.messages import Message
-from repro.common.types import L1State
 from repro.mem.cache_array import CacheLine
-from repro.sanitize.events import EventKind as EV
 
 
 class IdealL1Controller(MESIL1Controller):
     """MESI L1; invalidations arrive by magic, never as messages."""
 
     protocol_name = "SC-IDEAL"
-
-    def magic_invalidate(self, block: int) -> None:
-        """Zero-latency invalidation invoked directly by the L2."""
-        self.stats.invalidations_received += 1
-        line = self.cache.lookup(block)
-        entry = self.mshr.get(block)
-        dropped = line is not None and line.state is L1State.V
-        if self.sanitizer is not None:
-            self._emit(EV.L1_INV, block, dropped=dropped, magic=True)
-        if dropped:
-            self.cache.remove(block)
-        if entry is not None and entry.meta.get("gets_out"):
-            entry.meta["inv_after_fill"] = True
-            # Peekaboo cut: only loads already waiting may use the fill.
-            entry.meta.setdefault("safe_count", len(entry.waiting_loads))
 
 
 class IdealL2Controller(MESIL2Controller):
@@ -55,37 +38,18 @@ class IdealL2Controller(MESIL2Controller):
     def wire_l1s(self, l1s: List[IdealL1Controller]) -> None:
         self._l1s = list(l1s)
 
-    def _on_getx(self, msg: Message, atomic: bool) -> None:
-        block = msg.addr
-        line = self.cache.lookup(block)
-        if line is not None and line.state.name == "V":
-            if not msg.meta.get("_counted"):
-                msg.meta["_counted"] = True
-                if atomic:
-                    self.stats.atomics += 1
-                else:
-                    self.stats.writes += 1
-            self.stats.hits += 1
-            # Instant permissions: drop every sharer's copy right now —
-            # including the requester's own L1 (sibling warps may have
-            # refetched the block since the writer dropped its copy).
-            for sharer in sorted(line.sharers):
-                self.stats.invalidations_sent += 1
-                self._l1_by_endpoint(sharer).magic_invalidate(block)
-            line.sharers.clear()
-            self._apply_write(msg, line, atomic)
-            return
-        super()._on_getx(msg, atomic)
-
-    def _l1_by_endpoint(self, endpoint) -> IdealL1Controller:
-        return self._l1s[endpoint[1]]
-
-    def _on_evict(self, line: CacheLine) -> None:
-        self.stats.evictions += 1
-        if self.sanitizer is not None:
-            self._emit(EV.L2_EVICT, line.addr, sharers=len(line.sharers))
+    def _invalidate_and_write(self, msg: Message, line: CacheLine,
+                              atomic: bool) -> None:
+        # Instant permissions: every sharer drops its copy right now.
         for sharer in sorted(line.sharers):
-            self._l1_by_endpoint(sharer).magic_invalidate(line.addr)
+            self.stats.invalidations_sent += 1
+            self._l1s[sharer[1]]._invalidate(line.addr, magic=True)
         line.sharers.clear()
-        if line.dirty:
-            self.writeback_to_dram(line.addr, line.value)
+        self._apply_write(msg, line, atomic)
+
+    def _recall(self, line: CacheLine) -> None:
+        # Instant recall: no ack is outstanding, so nothing holds back
+        # re-allocation. Only write invalidations count toward
+        # ``invalidations_sent`` here (the payload goldens pin it).
+        for sharer in sorted(line.sharers):
+            self._l1s[sharer[1]]._invalidate(line.addr, magic=True)

@@ -22,7 +22,7 @@ directory content lives in ``line.sharers`` at the L2.
 from __future__ import annotations
 
 from repro.common.messages import Message
-from repro.common.types import AccessOutcome, L1State, L2State, MemOpKind, MsgKind
+from repro.common.types import L1State, L2State, MemOpKind, MsgKind
 from repro.coherence.base import L1ControllerBase, L2ControllerBase
 from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
@@ -33,39 +33,19 @@ class MESIL1Controller(L1ControllerBase):
     """Write-through L1 under the MESI directory."""
 
     protocol_name = "MESI"
+    serializes_stores = True
 
     def __init__(self, core_id, engine, cfg, noc, amap):
         super().__init__(core_id, engine, cfg, noc, amap, L1State.I)
 
     # ------------------------------------------------------------------
-    def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
-        if record.kind is MemOpKind.LOAD:
-            return self._load(record, warp)
-        return self._store_or_atomic(record, warp)
+    def _hit(self, line: CacheLine) -> bool:
+        return line.state is L1State.V
 
-    def would_stall(self, kind: MemOpKind, addr: int):
-        # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (a truthy answer must imply access() would STALL, a gate for
-        # as long as it stays truthy; see the base class).
-        shift = self.amap._block_shift
-        block = (addr >> shift) << shift
-        mshr = self.mshr
-        entry = mshr._entries.get(block)
-        if kind is MemOpKind.LOAD:
-            line = self.cache._map.get(block)
-            if line is not None and line.state is L1State.V:
-                return False
-            if entry is None and len(mshr._entries) >= mshr.capacity:
-                return mshr.full_gate
-            return line is None and not self.cache.can_allocate(block)
-        if entry is not None:
-            return entry.pending_stores or False
-        return len(mshr._entries) >= mshr.capacity and mshr.full_gate
-
-    def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _load(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
         line = self.cache._map.get(block)
-        if line is not None and line.state is L1State.V:
+        if line is not None and self._hit(line):
             self.stats.loads += 1
             self.stats.load_hits += 1
             if self.sanitizer is not None:
@@ -75,14 +55,7 @@ class MESIL1Controller(L1ControllerBase):
             record.order_key = -1
             line.touch()
             self.complete(record, warp, delay=self.cfg.l1.hit_latency)
-            return AccessOutcome.HIT
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
-        if line is None and not self.cache.can_allocate(block):
-            return AccessOutcome.STALL
-        # Count only after the stall exits, so replayed accesses count once.
+            return
         self.stats.loads += 1
         self.stats.load_misses += 1
         if self.sanitizer is not None:
@@ -90,24 +63,16 @@ class MESIL1Controller(L1ControllerBase):
         entry = self.mshr.allocate(block)
         entry.waiting_loads.append((record, warp))
         if entry.meta.get("gets_out"):
-            return AccessOutcome.MISS
+            return
         if line is None:
             line = self.cache.insert(block, L1State.IV, self._on_evict)
         line.state = L1State.IV
         line.pinned = True
         entry.meta["gets_out"] = True
         self.send_to_l2(MsgKind.GETS, block)
-        return AccessOutcome.MISS
 
-    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if entry is not None and entry.pending_stores:
-            # Same-block stores serialize until the previous ack returns.
-            return AccessOutcome.STALL
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
         self.count_access(record)
         if self.sanitizer is not None:
             self._emit(EV.L1_STORE_ISSUE, block,
@@ -126,7 +91,6 @@ class MESIL1Controller(L1ControllerBase):
                 else MsgKind.GETX)
         self.send_to_l2(kind, block, value=record.value,
                         meta={"record": record, "warp": warp})
-        return AccessOutcome.MISS
 
     def _on_evict(self, line: CacheLine) -> None:
         self.stats.evictions += 1
@@ -214,14 +178,21 @@ class MESIL1Controller(L1ControllerBase):
         self._maybe_release(block)
 
     def _on_inv(self, msg: Message) -> None:
-        block = msg.addr
+        recall = bool(msg.meta.get("recall"))
+        self._invalidate(msg.addr, recall=recall)
+        self.send_to_l2(MsgKind.INV_ACK, msg.addr,
+                        meta={"requester": msg.meta.get("requester"),
+                              "recall": recall})
+
+    def _invalidate(self, block: int, **event) -> None:
+        """Drop ``block``'s readable copy; ``event`` is the extra fields
+        of the sanitizer's ``L1_INV`` event."""
         self.stats.invalidations_received += 1
         line = self.cache._map.get(block)
         entry = self.mshr.get(block)
         dropped = line is not None and line.state is L1State.V
         if self.sanitizer is not None:
-            self._emit(EV.L1_INV, block, dropped=dropped,
-                       recall=bool(msg.meta.get("recall")))
+            self._emit(EV.L1_INV, block, dropped=dropped, **event)
         if dropped:
             self.cache.remove(block)
         if entry is not None and entry.meta.get("gets_out"):
@@ -231,19 +202,6 @@ class MESIL1Controller(L1ControllerBase):
             # dropped by an earlier invalidated fill).
             entry.meta["inv_after_fill"] = True
             entry.meta.setdefault("safe_count", len(entry.waiting_loads))
-        self.send_to_l2(MsgKind.INV_ACK, block,
-                        meta={"requester": msg.meta.get("requester"),
-                              "recall": bool(msg.meta.get("recall"))})
-
-    def _maybe_release(self, block: int) -> None:
-        entry = self.mshr.get(block)
-        if entry is not None and entry.empty:
-            self.mshr.release(block)
-            line = self.cache._map.get(block)
-            if line is not None:
-                line.pinned = False
-                if line.state is L1State.IV:
-                    self.cache.remove(block)
 
 
 class MESIL2Controller(L2ControllerBase):
@@ -348,33 +306,38 @@ class MESIL2Controller(L2ControllerBase):
                 self._retry(msg)
                 return
             self.stats.hits += 1
-            # Invalidate every sharer, *including* the requesting core's L1:
-            # the writer dropped its own copy at issue, but sibling warps of
-            # the same SM may have refetched the block since.
-            # Sorted so the invalidation order (and thus timing) never
-            # depends on set iteration order, i.e. on PYTHONHASHSEED.
-            sharers = sorted(line.sharers)
-            if not sharers:
-                self._apply_write(msg, line, atomic)
-                return
-            # Invalidate every sharer; block the line until all acks return.
-            line.meta["inv_pending"] = {
-                "remaining": len(sharers), "msg": msg, "atomic": atomic,
-            }
-            self._holds += 1
-            line.pinned = True  # not evictable while collecting acks
-            line.sharers.clear()
-            for sharer in sharers:
-                self.stats.invalidations_sent += 1
-                self.send(sharer, MsgKind.INV, block,
-                          meta={"requester": msg.src},
-                          delay=self.cfg.l2_per_bank.hit_latency)
+            self._invalidate_and_write(msg, line, atomic)
             return
         if line is not None and line.state is L2State.IV:
             entry = self.mshr.allocate(block)
             entry.pending_stores.append((msg, atomic))
             return
         self._miss_fetch(msg, block, is_read=False, atomic=atomic)
+
+    def _invalidate_and_write(self, msg: Message, line: CacheLine,
+                              atomic: bool) -> None:
+        """Invalidate every sharer, *including* the requesting core's L1
+        (the writer dropped its own copy at issue, but sibling warps of
+        the same SM may have refetched the block since), then apply the
+        write: at once without sharers, else when the last ack returns."""
+        # Sorted so the invalidation order (and thus timing) never
+        # depends on set iteration order, i.e. on PYTHONHASHSEED.
+        sharers = sorted(line.sharers)
+        if not sharers:
+            self._apply_write(msg, line, atomic)
+            return
+        # Block the line until all acks return.
+        line.meta["inv_pending"] = {
+            "remaining": len(sharers), "msg": msg, "atomic": atomic,
+        }
+        self._holds += 1
+        line.pinned = True  # not evictable while collecting acks
+        line.sharers.clear()
+        for sharer in sharers:
+            self.stats.invalidations_sent += 1
+            self.send(sharer, MsgKind.INV, line.addr,
+                      meta={"requester": msg.src},
+                      delay=self.cfg.l2_per_bank.hit_latency)
 
     def _on_inv_ack(self, msg: Message) -> None:
         if msg.meta.get("recall"):
@@ -464,9 +427,16 @@ class MESIL2Controller(L2ControllerBase):
         self.stats.evictions += 1
         if self.sanitizer is not None:
             self._emit(EV.L2_EVICT, line.addr, sharers=len(line.sharers))
-        # Inclusive directory: recall every sharer's copy (sorted: the
-        # recall order must not depend on set iteration order) and block
-        # re-allocation of the address until every ack returns.
+        self._recall(line)
+        line.sharers.clear()
+        if line.dirty:
+            self.writeback_to_dram(line.addr, line.value)
+
+    def _recall(self, line: CacheLine) -> None:
+        """Inclusive directory: recall every sharer's copy of an evicted
+        line (sorted: the recall order must not depend on set iteration
+        order) and block re-allocation of the address until every ack
+        returns."""
         sharers = sorted(line.sharers)
         if sharers:
             self._recalls[line.addr] = (self._recalls.get(line.addr, 0)
@@ -475,6 +445,3 @@ class MESIL2Controller(L2ControllerBase):
         for sharer in sharers:
             self.stats.invalidations_sent += 1
             self.send(sharer, MsgKind.INV, line.addr, meta={"recall": True})
-        line.sharers.clear()
-        if line.dirty:
-            self.writeback_to_dram(line.addr, line.value)

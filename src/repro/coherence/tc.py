@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.messages import Message
-from repro.common.types import AccessOutcome, L1State, L2State, MemOpKind, MsgKind
+from repro.common.types import L1State, L2State, MemOpKind, MsgKind
 from repro.coherence.base import L1ControllerBase, L2ControllerBase
 from repro.core.lease import lease_expired, lease_valid, post_lease
 from repro.gpu.warp import MemOpRecord, Warp
@@ -44,44 +44,21 @@ class TCL1Controller(L1ControllerBase):
         super().__init__(core_id, engine, cfg, noc, amap, L1State.I)
         self.strong = strong
         self.protocol_name = "TCS" if strong else "TCW"
+        self.serializes_stores = strong
         #: TC-weak: per-warp global write completion time (max over acks).
         self._gwct: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
-        if record.kind is MemOpKind.LOAD:
-            return self._load(record, warp)
-        return self._store_or_atomic(record, warp)
+    def _hit(self, line: CacheLine) -> bool:
+        return (line.state is L1State.V
+                and lease_valid(self.engine.now, line.exp))
 
-    def would_stall(self, kind: MemOpKind, addr: int):
-        # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (a truthy answer must imply access() would STALL, a gate for
-        # as long as it stays truthy; see the base class).
-        shift = self.amap._block_shift
-        block = (addr >> shift) << shift
-        mshr = self.mshr
-        entries = mshr._entries
-        entry = entries.get(block)
-        if kind is MemOpKind.LOAD:
-            line = self.cache._map.get(block)
-            if (line is not None and line.state is L1State.V
-                    and self.engine.now <= line.exp):  # lease_valid, inlined
-                return False
-            if entry is None and len(entries) >= mshr.capacity:
-                return mshr.full_gate
-            return line is None and not self.cache.can_allocate(block)
-        if entry is not None:
-            # TCW's stores do not serialize, so they get no same-block gate.
-            return self.strong and entry.pending_stores or False
-        return len(entries) >= mshr.capacity and mshr.full_gate
-
-    def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _load(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
         line = self.cache._map.get(block)
         now = self.engine.now
 
-        if (line is not None and line.state is L1State.V
-                and lease_valid(now, line.exp)):
+        if line is not None and self._hit(line):
             self.stats.loads += 1
             self.stats.load_hits += 1
             if self.sanitizer is not None:
@@ -91,18 +68,10 @@ class TCL1Controller(L1ControllerBase):
             record.order_key = -1
             line.touch()
             self.complete(record, warp, delay=self.cfg.l1.hit_latency)
-            return AccessOutcome.HIT
+            return
 
         expired = (line is not None and line.state is L1State.V
                    and lease_expired(now, line.exp))
-
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
-        if line is None and not self.cache.can_allocate(block):
-            return AccessOutcome.STALL
-        # Count only after the stall exits, so replayed accesses count once.
         self.stats.loads += 1
         if expired:
             self.stats.load_expired += 1
@@ -112,7 +81,7 @@ class TCL1Controller(L1ControllerBase):
         entry = self.mshr.allocate(block)
         entry.waiting_loads.append((record, warp))
         if entry.meta.get("gets_out"):
-            return AccessOutcome.MISS
+            return
         if line is None:
             line = self.cache.insert(block, L1State.IV, self._on_evict)
         else:
@@ -121,17 +90,9 @@ class TCL1Controller(L1ControllerBase):
         entry.meta["gets_out"] = True
         self.send_to_l2(MsgKind.GETS, block, now=now,
                         meta={"expired": expired})
-        return AccessOutcome.MISS
 
-    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if self.strong and entry is not None and entry.pending_stores:
-            # TCS: same-block stores serialize in the MSHR until the ack.
-            return AccessOutcome.STALL
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
         self.count_access(record)
         if self.sanitizer is not None:
             self._emit(EV.L1_STORE_ISSUE, block, now=self.engine.now,
@@ -151,7 +112,6 @@ class TCL1Controller(L1ControllerBase):
                 else MsgKind.WRITE)
         self.send_to_l2(kind, block, now=self.engine.now, value=record.value,
                         meta={"record": record, "warp": warp})
-        return AccessOutcome.MISS
 
     def _on_evict(self, line: CacheLine) -> None:
         self.stats.evictions += 1
@@ -234,16 +194,6 @@ class TCL1Controller(L1ControllerBase):
                        completed_at=record.logical_ts)
         self.complete(record, warp)
         self._maybe_release(block)
-
-    def _maybe_release(self, block: int) -> None:
-        entry = self.mshr.get(block)
-        if entry is not None and entry.empty:
-            self.mshr.release(block)
-            line = self.cache._map.get(block)
-            if line is not None:
-                line.pinned = False
-                if line.state is L1State.IV:
-                    self.cache.remove(block)
 
     # ------------------------------------------------------------------
     def fence_block_until(self, warp: Warp) -> int:

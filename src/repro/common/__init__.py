@@ -1,7 +1,6 @@
 """Shared primitive types: enums, messages, address helpers."""
 
 from repro.common.types import (
-    AccessOutcome,
     L1State,
     L2State,
     MemOpKind,
@@ -11,7 +10,6 @@ from repro.common.messages import Message
 from repro.common.addresses import AddressMap
 
 __all__ = [
-    "AccessOutcome",
     "AddressMap",
     "L1State",
     "L2State",

@@ -111,14 +111,6 @@ class L2State(enum.Enum):
         return self in _STABLE_L2
 
 
-class AccessOutcome(enum.Enum):
-    """Result of presenting a core memory op to the L1 controller."""
-
-    HIT = "hit"              # completes after L1 hit latency
-    MISS = "miss"            # request sent (or merged); completion via response
-    STALL = "stall"          # structural/protocol stall; retry next cycle
-
-
 # Membership sets for the hot-path properties above (frozenset lookup beats
 # rebuilding a tuple and linearly comparing on every call).
 _GLOBAL_MEM_KINDS = frozenset(

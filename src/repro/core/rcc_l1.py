@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.messages import Message
-from repro.common.types import AccessOutcome, L1State, MemOpKind, MsgKind
+from repro.common.types import L1State, MemOpKind, MsgKind
 from repro.coherence.base import L1ControllerBase
 from repro.core.lease import lease_expired, lease_valid
 from repro.core.timestamps import LogicalClock
@@ -40,6 +40,7 @@ class RCCL1Controller(L1ControllerBase):
     """Logical-timestamp L1 for RCC (sequentially consistent variant)."""
 
     protocol_name = "RCC"
+    serializes_stores = False
 
     def __init__(self, core_id, engine, cfg, noc, amap, rollover):
         super().__init__(core_id, engine, cfg, noc, amap, L1State.I)
@@ -89,40 +90,18 @@ class RCCL1Controller(L1ControllerBase):
     # ------------------------------------------------------------------
     # Core-side events
     # ------------------------------------------------------------------
-    def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
-        if record.kind is MemOpKind.LOAD:
-            return self._load(record, warp)
-        return self._store_or_atomic(record, warp)
+    def _hit(self, line: CacheLine) -> bool:
+        # V (or VI) within the lease. _read_now() is a pure read in both
+        # RCC and RCC-WO, so the issue-stage probe advances nothing.
+        return (line.state is L1State.V
+                and lease_valid(self._read_now(), line.exp))
 
-    def would_stall(self, kind: MemOpKind, addr: int):
-        # Mirrors the STALL exits of _load/_store_or_atomic below — keep in
-        # sync (a truthy answer must imply access() would STALL, a gate for
-        # as long as it stays truthy; see the base class).
-        # _read_now() is a pure read in both RCC and RCC-WO, so probing a
-        # load's hit predicate here advances nothing.
-        shift = self.amap._block_shift
-        block = (addr >> shift) << shift
-        mshr = self.mshr
-        entry = mshr._entries.get(block)
-        if kind is MemOpKind.LOAD:
-            line = self.cache._map.get(block)
-            if (line is not None and line.state is L1State.V
-                    and lease_valid(self._read_now(), line.exp)):
-                return False
-            if entry is None and len(mshr._entries) >= mshr.capacity:
-                return mshr.full_gate
-            return line is None and not self.cache.can_allocate(block)
-        return (entry is None and len(mshr._entries) >= mshr.capacity
-                and mshr.full_gate)
-
-    def _load(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _load(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
         line = self.cache._map.get(block)
         rnow = self._read_now()
 
-        if (line is not None and line.state is L1State.V
-                and lease_valid(rnow, line.exp)):
-            # V (or VI) hit within the lease.
+        if line is not None and self._hit(line):
             self.stats.loads += 1
             self.stats.load_hits += 1
             if self.sanitizer is not None:
@@ -133,19 +112,10 @@ class RCCL1Controller(L1ControllerBase):
             record.order_key = -1  # L1 hit: never visited the L2
             line.touch()
             self.complete(record, warp, delay=self.cfg.l1.hit_latency)
-            return AccessOutcome.HIT
+            return
 
         expired = (line is not None and line.state is L1State.V
                    and lease_expired(rnow, line.exp))
-
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
-        if line is None and not self.cache.can_allocate(block):
-            return AccessOutcome.STALL  # all ways pinned by transients
-        # Count only after the stall exits: a stalled access is replayed, and
-        # counting it on every retry inflated loads/load_expired.
         self.stats.loads += 1
         if expired:
             self.stats.load_expired += 1
@@ -160,7 +130,7 @@ class RCCL1Controller(L1ControllerBase):
         entry.waiting_loads.append((record, warp, rnow))
 
         if entry.meta.get("gets_out"):
-            return AccessOutcome.MISS  # merge into the outstanding GETS
+            return  # merge into the outstanding GETS
 
         old_exp: Optional[int] = None
         if line is None:
@@ -174,15 +144,10 @@ class RCCL1Controller(L1ControllerBase):
             MsgKind.GETS, block, now=rnow, exp=old_exp,
             meta={"expired": expired, "epoch": self.rollover.epoch},
         )
-        return AccessOutcome.MISS
 
-    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def _store_or_atomic(self, record: MemOpRecord, warp: Warp) -> None:
         block = self.block_of(record.addr)
-        entries = self.mshr._entries
-        entry = entries.get(block)
-        if entry is None and len(entries) >= self.mshr.capacity:
-            return AccessOutcome.STALL
-        self.count_access(record)  # after the stall exit, so replays count once
+        self.count_access(record)
         if self.sanitizer is not None:
             vline = self.cache._map.get(block)
             self._emit(EV.L1_STORE_ISSUE, block, now=self._write_now(),
@@ -203,7 +168,6 @@ class RCCL1Controller(L1ControllerBase):
             meta={"record": record, "warp": warp,
                   "epoch": self.rollover.epoch},
         )
-        return AccessOutcome.MISS
 
     def _on_evict(self, line: CacheLine) -> None:
         # Write-through L1: evicting a V line (valid or expired) is silent.
@@ -354,18 +318,6 @@ class RCCL1Controller(L1ControllerBase):
                     self._emit(EV.L1_SELF_INVAL, block,
                                reason="post_store_vi")
         self._maybe_release(block)
-
-    def _maybe_release(self, block: int) -> None:
-        entry = self.mshr.get(block)
-        if entry is not None and entry.empty:
-            self.mshr.release(block)
-            line = self.cache._map.get(block)
-            if line is not None:
-                line.pinned = False
-                if line.state is L1State.IV:
-                    # A transient with no requests left can only result from
-                    # a rollover flush; drop the placeholder.
-                    self.cache.remove(block)
 
     # ------------------------------------------------------------------
     # Rollover (paper §III-D)

@@ -19,7 +19,7 @@ microarchitectural deltas are the warp scheduler signal and this split).
 
 from __future__ import annotations
 
-from repro.common.types import AccessOutcome, MemOpKind
+from repro.common.types import MemOpKind
 from repro.core.rcc_l1 import RCCL1Controller
 from repro.core.timestamps import LogicalClock
 from repro.gpu.warp import MemOpRecord, Warp
@@ -51,13 +51,13 @@ class RCCWOL1Controller(RCCL1Controller):
         self.write_clock.advance_to(ts)
 
     # ------------------------------------------------------------------
-    def access(self, record: MemOpRecord, warp: Warp) -> AccessOutcome:
+    def access(self, record: MemOpRecord, warp: Warp) -> None:
         if record.kind is MemOpKind.ATOMIC:
             # RMW: operates on the join of both views.
             joined = max(self.clock.value, self.write_clock.value)
             self.clock.advance_to(joined)
             self.write_clock.advance_to(joined)
-        return super().access(record, warp)
+        super().access(record, warp)
 
     def on_message(self, msg) -> None:
         if msg.meta.get("atomic"):

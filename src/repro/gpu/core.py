@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.common.types import AccessOutcome, MemOpKind
+from repro.common.types import MemOpKind
 from repro.errors import SimulationError
 from repro.gpu.trace import WarpTrace
 from repro.gpu import warp as _warp_mod
@@ -95,8 +95,8 @@ class GPUCore:
         self._busy = [0 if w.n_ops else _NEVER for w in self.warps]
         #: Issue-gate column, indexed like ``_busy``: the gate the L1 gave
         #: the warp's last structurally stalled probe (see
-        #: ``L1ControllerBase.would_stall``). While it is truthy the op
-        #: would still STALL, so the scan skips the probe.
+        #: ``L1ControllerBase.would_stall``). While it is truthy the probe
+        #: would still stall, so the scan skips it.
         self._gates: List[Any] = [None] * len(self.warps)
         for t in traces:
             t.validate()
@@ -332,12 +332,7 @@ class GPUCore:
         record.issue_cycle = now
         if op.kind.is_write:
             record.value = (self.core_id, warp.warp_id, record.seq)
-        outcome = self.l1.access(record, warp)
-        if outcome is AccessOutcome.STALL:
-            # Structural stall the probe missed (conservative False); same
-            # handling — the record (and its seq) is simply discarded.
-            self.stats.structural_stalls += 1
-            return "blocked"
+        self.l1.access(record, warp)
         # Issued: close out any SC-stall interval for this op.
         if warp.stall_start is not None:
             stall = now - warp.stall_start

@@ -1,11 +1,12 @@
 """Issue-stage gates: whole cells against the ungated probe, and one case
 per gate input.
 
-``L1ControllerBase.would_stall`` may answer a structurally stalled probe
-with a *gate*, an object that stays truthy for as long as ``access`` would
-still STALL. The core keeps one gate per warp and, while it is shut, skips
-the warp's re-probe, counting the stall and taking the op id as the probe
-would have. There are two gates, each the very state the verdict reads:
+``L1ControllerBase.would_stall``, the one stall rule of every L1, may
+answer a structurally stalled probe with a *gate*, an object that stays
+truthy for as long as the probe would still stall. The core keeps one gate
+per warp and, while it is shut, skips the warp's re-probe, counting the
+stall and taking the op id as the probe would have. There are two gates,
+each the very state the verdict reads:
 
 * a store behind an earlier store to its block (MESI, TC-strong, SC-IDEAL)
   gets the blocking entry's ``pending_stores`` list;
@@ -15,8 +16,8 @@ would have. There are two gates, each the very state the verdict reads:
 A load that finds every way of its set pinned gets ``True`` and is
 re-probed as before.
 
-The oracle is the ungated probe: every L1's ``would_stall`` wrapped to
-return ``bool(...)``, so the core never holds a gate. Whole sanitized
+The oracle is the ungated probe: the base probe wrapped to return
+``bool(...)``, so the core never holds a gate. Whole sanitized
 cells must match it in payload and sanitizer event stream. The unit cases
 change one gate input each, through the controller code that changes it,
 and check that the gate flips with the verdict.
@@ -29,12 +30,13 @@ from collections import Counter
 
 import pytest
 
-from repro.coherence.mesi import MESIL1Controller
-from repro.coherence.tc import TCL1Controller
+import repro.common
+import repro.common.types
+from repro.coherence.base import L1ControllerBase
 from repro.common.messages import Message
-from repro.common.types import AccessOutcome, MemOpKind, MsgKind
+from repro.common.types import MemOpKind, MsgKind
 from repro.config import GPUConfig
-from repro.core.rcc_l1 import RCCL1Controller
+from repro.core.rcc_wo import RCCWOL1Controller
 from repro.gpu.trace import load_op, store_op
 from repro.gpu.warp import MemOpRecord
 from repro.mem.mshr import MSHRFile
@@ -47,19 +49,14 @@ LOAD, STORE = MemOpKind.LOAD, MemOpKind.STORE
 BLOCK = 128
 X, Y, A, B = 10 * BLOCK, 11 * BLOCK, 20 * BLOCK, 30 * BLOCK
 
-#: The classes that define ``would_stall`` (SC-IDEAL inherits MESI's,
-#: RCC-WO inherits RCC's), with the probe each defines.
-_PROBES = {cls: cls.__dict__["would_stall"]
-           for cls in (MESIL1Controller, TCL1Controller, RCCL1Controller)}
+#: The one probe every L1 inherits.
+_PROBES = {L1ControllerBase: L1ControllerBase.__dict__["would_stall"]}
 
 
 def probe(l1, kind, addr):
-    """``l1.would_stall`` as its class defines it, bypassing any wrapper
-    a test has installed."""
-    for cls in type(l1).__mro__:
-        if cls in _PROBES:
-            return _PROBES[cls](l1, kind, addr)
-    raise AssertionError(f"no probe for {type(l1).__name__}")
+    """``l1.would_stall`` as the base class defines it, bypassing any
+    wrapper a test has installed."""
+    return _PROBES[L1ControllerBase](l1, kind, addr)
 
 
 def _small_l1(**fields) -> GPUConfig:
@@ -182,12 +179,17 @@ def l1_of(protocol, mshrs=16):
 
 
 def issue(l1, kind, addr, warp_idx=0):
-    """Put one op into the L1 as the core would after a clear probe."""
+    """Put one op into the L1 as the core would after a clear probe; it
+    must miss, into its block's MSHR entry."""
     warp = l1.core.warps[warp_idx]
     record = MemOpRecord(kind, addr, l1.core_id, warp.warp_id, 0)
     if kind.is_write:
         record.value = (l1.core_id, warp.warp_id, record.seq)
-    assert l1.access(record, warp) is AccessOutcome.MISS
+    assert not l1.would_stall(kind, addr)
+    l1.access(record, warp)
+    entry = l1.mshr.get(l1.block_of(addr))
+    assert any(item[0] is record
+               for item in entry.waiting_loads + entry.pending_stores)
     warp.outstanding.append(record)
     return record, warp
 
@@ -204,6 +206,23 @@ def flips(l1, kind, addr, gate, change):
     before = (bool(l1.would_stall(kind, addr)), bool(gate))
     change()
     return before, (bool(l1.would_stall(kind, addr)), bool(gate))
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_one_stall_rule(protocol):
+    # Every L1 stalls by the base probe alone, from two facts of its own
+    # (``_hit`` and ``serializes_stores``), and ``access`` has no stall
+    # exit: only RCC-WO wraps it, to join its views for an atomic.
+    l1 = l1_of(protocol)
+    below_base = type(l1).__mro__[:type(l1).__mro__.index(L1ControllerBase)]
+    for cls in below_base:
+        assert "would_stall" not in cls.__dict__, cls
+        assert "_maybe_release" not in cls.__dict__, cls
+        assert ("access" in cls.__dict__) == (cls is RCCWOL1Controller), cls
+    assert l1.serializes_stores is (protocol in ("MESI", "SC-IDEAL", "TCS"))
+    # ``access`` returns nothing, so no outcome enum is left to name it.
+    assert not [name for name in dir(repro.common) + dir(repro.common.types)
+                if name.endswith("Outcome")]
 
 
 @pytest.mark.parametrize("protocol", ["MESI", "TCS", "SC-IDEAL"])
