@@ -1,37 +1,49 @@
 #!/usr/bin/env python3
 """Demonstrate sequential consistency — and its absence — with litmus tests.
 
-Runs the classical message-passing (MP) and IRIW litmus patterns through
-the full simulator under every protocol, then verifies a random program's
-execution with the SC witness checker. TC-weak is the interesting case: it
-gives up write atomicity, so even fully fenced code cannot recover SC —
-the exact reason the paper says TCW cannot implement SC (Table I).
+Runs the message-passing (MP) litmus shape from the test corpus through the
+full simulator under every protocol at a range of staggers, asks the SC
+interleaving oracle whether each outcome is SC, then verifies a random
+program's execution with the SC witness checker. The weakly ordered
+protocols (TCW, RCC-WO) run the fully fenced variant. MP needs no write
+atomicity, so fences make it SC even under TC-weak; IRIW does need it,
+and TC-weak gives it up — the paper's reason TCW cannot implement SC
+(Table I).
 
     python examples/sc_verification.py
 """
 
+import os
 import random
 
 from repro import GPUConfig, run_simulation
-from repro.consistency import litmus as L
+from repro.config import consistency_of
 from repro.consistency.checker import SCChecker
+from repro.fuzz import ProtocolExecutor, load_program, sc_explainable
 from repro.gpu.trace import WarpTrace, compute_op, load_op, store_op
+
+MP_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "tests", "corpus", "mp.trace")
 
 
 def litmus_sweep() -> None:
     cfg = GPUConfig.small()
+    mp = load_program(MP_TRACE)
     print("MP litmus (C0: data=1; flag=1 | C1: r1=flag; r2=data)")
     print("forbidden outcome: r1=1, r2=0 (saw the flag but stale data)\n")
     for protocol in ("MESI", "TCS", "RCC", "TCW", "RCC-WO"):
-        seen_forbidden = False
+        fenced = consistency_of(protocol) == "wo"
+        executor = ProtocolExecutor(protocol, cfg)
+        clean = True
         for stagger in range(0, 300, 23):
-            res = L.run_litmus("mp", cfg, protocol, L.mp_program(),
-                               use_fences=(protocol in ("TCW", "RCC-WO")),
-                               stagger=stagger)
-            seen_forbidden |= L.mp_forbidden(res)
-        fenced = " (fenced)" if protocol in ("TCW", "RCC-WO") else ""
-        verdict = "FORBIDDEN OUTCOME SEEN" if seen_forbidden else "SC-clean"
-        print(f"  {protocol + fenced:16s}: {verdict}")
+            program = mp.staggered(stagger, fenced)
+            out = executor.execute(program)
+            assert out.error is None, out.error
+            clean &= sc_explainable(program, out.observation)
+        label = protocol + (" (fenced)" if fenced else "")
+        print(f"  {label:16s}: "
+              f"{'SC-clean' if clean else 'NOT SC-EXPLAINABLE'}")
+        assert clean, f"{label} produced a non-SC MP outcome"
 
 
 def checker_demo() -> None:

@@ -49,7 +49,7 @@ class IdealL2Controller(MESIL2Controller):
 
     def _recall(self, line: CacheLine) -> None:
         # Instant recall: no ack is outstanding, so nothing holds back
-        # re-allocation. Only write invalidations count toward
-        # ``invalidations_sent`` here (the payload goldens pin it).
+        # re-allocation.
         for sharer in sorted(line.sharers):
+            self.stats.invalidations_sent += 1
             self._l1s[sharer[1]]._invalidate(line.addr, magic=True)

@@ -228,18 +228,13 @@ class TCL2Controller(L2ControllerBase):
     # that RCC's logical, self-scaling leases remove.
     # ------------------------------------------------------------------
     def _lease_for(self, line: CacheLine) -> int:
-        if not self.tc_cfg.predictor_enabled:
-            return self.tc_cfg.lease_default
         return line.meta.get("tc_lease", self.tc_cfg.lease_default)
 
     def _predict_on_write(self, line: CacheLine) -> None:
         line.meta["written_since_grant"] = True
-        if self.tc_cfg.predictor_enabled:
-            line.meta["tc_lease"] = self.tc_cfg.lease_min
+        line.meta["tc_lease"] = self.tc_cfg.lease_min
 
     def _predict_on_grant(self, line: CacheLine, was_expired: bool) -> None:
-        if not self.tc_cfg.predictor_enabled:
-            return
         if was_expired and not line.meta.get("written_since_grant", False):
             # The copy expired but nobody wrote it: lifetime too short.
             line.meta["tc_lease"] = min(self.tc_cfg.lease_max,

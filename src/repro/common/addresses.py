@@ -40,6 +40,3 @@ class AddressMap:
     def bank_of(self, addr: int) -> int:
         """L2 bank (== memory partition) for ``addr``; block-interleaved."""
         return self.block_index(addr) % self.n_l2_banks
-
-    def same_block(self, a: int, b: int) -> bool:
-        return self.block_index(a) == self.block_index(b)

@@ -125,7 +125,6 @@ class TCConfig:
     lease_min: int = 512
     lease_default: int = 2048
     lease_max: int = 16384
-    predictor_enabled: bool = True
 
 
 @dataclass

@@ -4,9 +4,10 @@ Hardware timestamps are fixed-width (32 bits in the paper; on average they
 advanced once per ~1073 cycles, about one rollover per hour). Rather than
 wrapping silently, RCC detects an impending overflow at the L2 — the only
 agent that ever *increases* timestamps — and runs a global reset protocol
-(see :mod:`repro.core.rollover`). The clock here tracks the current rollover
-``epoch`` so the simulator's consistency checker can keep a globally
-monotonic key ``(epoch << bits) | value`` across resets.
+(see :mod:`repro.core.rollover`). The rollover ``epoch`` lives in
+:class:`~repro.core.rollover.RolloverManager`; the witness checker keys on
+``(epoch << bits) | value`` (``RCCL1Controller._ts_key``), so its order
+stays monotonic across resets.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ class LogicalClock:
     10
     """
 
-    __slots__ = ("bits", "max_value", "value", "epoch")
+    __slots__ = ("bits", "max_value", "value")
 
     def __init__(self, bits: int = 32, value: int = 0):
         self.bits = bits
         self.max_value = (1 << bits) - 1
         self.value = value
-        self.epoch = 0
 
     def advance_to(self, target: int) -> int:
         """Monotonic advance; returns the new value."""
@@ -60,13 +60,8 @@ class LogicalClock:
         return self.value
 
     def reset(self) -> None:
-        """Rollover: back to zero, next epoch."""
+        """Rollover: back to zero."""
         self.value = 0
-        self.epoch += 1
-
-    def global_key(self) -> int:
-        """Globally monotonic key across rollovers (checker use only)."""
-        return (self.epoch << self.bits) | self.value
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<LogicalClock {self.value} (epoch {self.epoch})>"
+        return f"<LogicalClock {self.value}>"

@@ -2,9 +2,9 @@
 
 The litmus corpus (``*.trace``) pins *programs*; the hostile lab's unit
 of reproduction is a *cell* — (named config, protocol, workload spec,
-intensity, seed, ts overrides) — so cliffs and invariant violations it
-discovers are archived as ``*.cell`` JSON files next to the traces in
-``tests/corpus/``. A cell file names its base machine by canned-config
+intensity, seed, ts overrides) — so invariant violations and simulator
+errors it discovers are archived as ``*.cell`` JSON files next to the
+traces in ``tests/corpus/``. A cell file names its base machine by canned-config
 name (``small``/``bench``/``paper``) rather than serializing the whole
 config, keeping reproducers readable and robust as the config schema
 evolves.

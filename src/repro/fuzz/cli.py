@@ -12,16 +12,14 @@ Usage::
     repro-fuzz --workloads --regimes storm,thrash --save-cells tests/corpus
 
 With ``--workloads`` the fuzzer mutates hostile-workload knobs instead of
-litmus programs, hunting invariant violations and performance cliffs
-against five benign cells that every campaign runs beside its hostile
-draws (see :mod:`repro.fuzz.workloads`).
+litmus programs, hunting invariant violations and simulator errors (see
+:mod:`repro.fuzz.workloads`).
 ``--replay`` accepts both corpus formats: ``*.trace`` litmus programs and
 ``*.cell`` hostile-run reproducers.
 
 Exit status is non-zero when any program fails differential checking or
-any hostile run violates an invariant, so the command slots straight into
-CI. Cliffs are report-only unless ``--fail-on-cliff``. ``make fuzz`` runs
-a long campaign.
+any hostile run violates an invariant or raises a simulator error, so the
+command slots straight into CI. ``make fuzz`` runs a long campaign.
 """
 
 from __future__ import annotations
@@ -102,28 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", action="store_true",
                    help="fuzz hostile-workload knobs instead of litmus "
                         "programs (sanitizer always on; see --runs, "
-                        "--regimes, --cliff-ratio)")
+                        "--regimes)")
     p.add_argument("--runs", type=int, default=10,
                    help="with --workloads: mutation draws, round-robined "
                         "across regimes (default 10)")
     p.add_argument("--regimes", default="all",
                    help="with --workloads: comma-separated hostile regimes "
                         "or 'all' (storm, pingpong, rwext, bursty, thrash)")
-    p.add_argument("--cliff-ratio", type=float, default=0.125,
-                   help="throughput cliff: events/s below this fraction "
-                        "of the benign cells' median (default 0.125)")
-    p.add_argument("--stall-factor", type=float, default=20.0,
-                   help="stall cliff: SC stall cycles/op above this "
-                        "multiple of the benign cells' median (default 20)")
     p.add_argument("--report", metavar="FILE",
                    help="with --workloads: write the full campaign report "
                         "as JSON to FILE")
     p.add_argument("--save-cells", metavar="DIR",
-                   help="with --workloads: write violation/cliff "
+                   help="with --workloads: write violation/error "
                         "reproducers as .cell files to DIR")
-    p.add_argument("--fail-on-cliff", action="store_true",
-                   help="with --workloads: exit non-zero on performance "
-                        "cliffs too, not just violations")
     return p
 
 
@@ -198,15 +187,12 @@ def _workloads_main(args, settings: Settings) -> int:
 
     def progress(i, run):
         if args.verbose:
-            status = run.status.upper() if not run.ok else (
-                "CLIFF" if run.cliffs else "OK")
-            print(f"[{i + 1}] {status} {run.regime} {run.cell.label} "
-                  f"seed={run.cell.seed}")
+            print(f"[{i + 1}] {run.status.upper()} {run.regime} "
+                  f"{run.cell.label} seed={run.cell.seed}")
 
     result = run_hostile_campaign(
         config_name=args.config, regimes=args.regimes, runs=args.runs,
         seed=args.seed, protocols=protocols,
-        cliff_ratio=args.cliff_ratio, stall_factor=args.stall_factor,
         executor=SweepExecutor(settings), on_run=progress)
     print(result.render())
     if args.report:
@@ -214,24 +200,17 @@ def _workloads_main(args, settings: Settings) -> int:
             json.dump(result.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"campaign report written to {args.report}")
-    interesting = result.violations + result.errors + result.cliff_runs
-    if args.save_cells and interesting:
+    failed = result.violations + result.errors
+    if args.save_cells and failed:
         os.makedirs(args.save_cells, exist_ok=True)
-        for run in interesting:
-            reason = (run.record["message"] if not run.ok
-                      else "; ".join(run.cliffs))
-            expect = ({"mem_ops": run.record["mem_ops"]} if run.ok else {})
+        for run in failed:
             stem = f"hostile_{run.regime}_{run.cell.protocol.lower()}_" \
                    f"{run.cell.seed % 100000:05d}"
             path = os.path.join(args.save_cells, f"{stem}.cell")
-            save_cell(path, run.cell, run.config_name, reason=reason,
-                      expect=expect)
+            save_cell(path, run.cell, run.config_name,
+                      reason=run.record["message"])
             print(f"reproducer written to {path}")
-    if not result.passed:
-        return 1
-    if args.fail_on_cliff and result.cliff_runs:
-        return 1
-    return 0
+    return 0 if result.passed else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

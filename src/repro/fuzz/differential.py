@@ -11,7 +11,8 @@ testing) and validates each run two independent ways:
 * weakly-ordered protocols are executed for completion (a deadlock or
   simulator error on any protocol fails the program) and their outcomes
   are run through the oracle *informationally* — how often a WO run
-  happens to be SC-explainable is a useful tell, but not a failure.
+  happens to be SC-explainable is a useful tell, but not a failure (a
+  fenced litmus test asks for ``oracle_verdict is True`` itself).
 
 A campaign sweeps many seeded programs, tallies per-protocol results into
 an :class:`~repro.harness.experiments.ExperimentResult`-compatible report,
@@ -153,8 +154,6 @@ class DifferentialRunner:
     def __init__(self, cfg: Optional[GPUConfig] = None,
                  protocols: Optional[Sequence[str]] = None,
                  executors: Optional[Sequence[Any]] = None,
-                 oracle_max_states: int = 500_000,
-                 oracle_on_wo: bool = True,
                  sanitize: bool = False,
                  trace_out: Optional[str] = None):
         if executors is None:
@@ -163,8 +162,6 @@ class DifferentialRunner:
                                           trace_out=trace_out)
                          for p in names]
         self.executors = list(executors)
-        self.oracle_max_states = oracle_max_states
-        self.oracle_on_wo = oracle_on_wo
 
     def check_program(self, program: FuzzProgram) -> ProgramVerdict:
         outcomes: Dict[str, ExecutionOutcome] = {}
@@ -174,13 +171,11 @@ class DifferentialRunner:
                 if out.sc and out.records is not None:
                     bb = getattr(ex, "block_bytes", 128)
                     out.checker_violations = SCChecker(bb).check(out.records)
-                if out.sc or self.oracle_on_wo:
-                    try:
-                        out.oracle_verdict = sc_explainable(
-                            program, out.observation,
-                            max_states=self.oracle_max_states)
-                    except OracleExhausted:
-                        out.oracle_exhausted = True
+                try:
+                    out.oracle_verdict = sc_explainable(program,
+                                                        out.observation)
+                except OracleExhausted:
+                    out.oracle_exhausted = True
             outcomes[ex.name] = out
         return ProgramVerdict(program=program, outcomes=outcomes)
 

@@ -179,6 +179,24 @@ class FuzzProgram:
         return FuzzProgram(n_addrs=max(len(used), 1), warps=warps,
                            name=self.name, seed=self.seed)
 
+    def staggered(self, stagger: int, fenced: bool = False
+                  ) -> "FuzzProgram":
+        """Copy whose warps on core ``c > 0`` first compute for ``stagger *
+        c`` cycles (varying the physical interleaving) and, with
+        ``fenced``, put a FENCE after every memory op (the fully fenced
+        variant a weakly ordered program needs to be SC)."""
+        warps: Dict[Tuple[int, int], List[FuzzOp]] = {}
+        for (core, warp), ops in self.warps.items():
+            out = ([FuzzOp(MemOpKind.COMPUTE, cycles=stagger * core)]
+                   if stagger and core else [])
+            for op in ops:
+                out.append(op)
+                if fenced and op.is_mem:
+                    out.append(FuzzOp(MemOpKind.FENCE))
+            warps[(core, warp)] = out
+        return FuzzProgram(n_addrs=self.n_addrs, warps=warps,
+                           name=self.name, seed=self.seed)
+
     def pretty(self) -> str:
         """Human-readable listing (one column per warp)."""
         keys = sorted(self.warps)

@@ -40,6 +40,9 @@ INIT = "init"
 #: Normalized "value of unknown provenance" marker — never explainable.
 UNKNOWN = "?"
 
+#: State budget of one search (:func:`explain`'s default).
+MAX_STATES = 500_000
+
 WarpKey = Tuple[int, int]
 #: A store's normalized identity.
 StoreId = Tuple[int, int, int]
@@ -138,7 +141,7 @@ def _semantic_ops(program: FuzzProgram) -> Dict[WarpKey, List[_SemOp]]:
 
 
 def explain(program: FuzzProgram, obs: Observation,
-            max_states: int = 500_000
+            max_states: int = MAX_STATES
             ) -> Optional[List[Tuple[WarpKey, _SemOp]]]:
     """Search for an SC interleaving reproducing ``obs``.
 
@@ -206,7 +209,6 @@ def explain(program: FuzzProgram, obs: Observation,
     return dfs(start[0], start[1], [])
 
 
-def sc_explainable(program: FuzzProgram, obs: Observation,
-                   max_states: int = 500_000) -> bool:
+def sc_explainable(program: FuzzProgram, obs: Observation) -> bool:
     """True iff some SC interleaving of ``program`` reproduces ``obs``."""
-    return explain(program, obs, max_states=max_states) is not None
+    return explain(program, obs) is not None

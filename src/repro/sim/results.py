@@ -124,12 +124,6 @@ class SimResult:
     # ------------------------------------------------------------------
     # Derived metrics (the figures' vocabulary)
     # ------------------------------------------------------------------
-    @property
-    def ipc_proxy(self) -> float:
-        """Memory ops per kilocycle — the speedup basis (same workload =>
-        same op count, so speedup == cycle ratio)."""
-        return 1000.0 * self.mem_ops / max(1, self.cycles)
-
     def avg_latency(self, kind: MemOpKind) -> float:
         n = self.mem_ops_by_kind[kind]
         return self.latency_sum_by_kind[kind] / n if n else 0.0

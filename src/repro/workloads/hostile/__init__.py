@@ -11,9 +11,8 @@ analysis names the extremes):
 * ``thrash`` — million-block working sets that thrash the L2.
 
 ``repro-fuzz --workloads`` mutates these generators' knobs through the
-sweep executor under the sanitizer, hunting performance cliffs against
-five benign cells that each campaign runs beside its draws
-(:data:`repro.fuzz.workloads.BENIGN_CELLS`).
+sweep executor under the sanitizer, hunting invariant violations and
+simulator errors (:mod:`repro.fuzz.workloads`).
 """
 
 from repro.workloads.hostile.base import (

@@ -21,11 +21,6 @@ class TestAddressMap:
         banks = [am.bank_of(i * 128) for i in range(8)]
         assert banks == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_same_block(self):
-        am = AddressMap()
-        assert am.same_block(0, 127)
-        assert not am.same_block(127, 128)
-
     def test_addresses_in_same_block_map_to_same_bank(self):
         am = AddressMap(block_bytes=128, n_l2_banks=8)
         for base in (0, 128, 4096, 999 * 128):

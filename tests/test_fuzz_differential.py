@@ -61,6 +61,42 @@ def test_oracle_rejects_store_buffering_outcome():
     assert sc_explainable(sb, one_stale)
 
 
+def test_oracle_rejects_load_buffering_outcome():
+    lb = prog({(0, 0): [L(0), S(1)], (1, 0): [L(1), S(0)]})
+    final = {0: (1, 0, 1), 1: (0, 0, 1)}
+    # Each load saw the other core's later store.
+    both_late = Observation(reads={(0, 0): [(1, 0, 1)], (1, 0): [(0, 0, 1)]},
+                            final=final)
+    assert not sc_explainable(lb, both_late)
+    one_late = Observation(reads={(0, 0): [INIT], (1, 0): [(0, 0, 1)]},
+                           final=final)
+    assert sc_explainable(lb, one_late)
+
+
+def test_oracle_rejects_iriw_disagreement():
+    iriw = prog({(0, 0): [S(0)], (1, 0): [S(1)],
+                 (2, 0): [L(0), L(1)], (3, 0): [L(1), L(0)]})
+    final = {0: (0, 0, 0), 1: (1, 0, 0)}
+    # The readers saw the two independent stores in opposite orders.
+    disagree = Observation(reads={(2, 0): [(0, 0, 0), INIT],
+                                  (3, 0): [(1, 0, 0), INIT]}, final=final)
+    assert not sc_explainable(iriw, disagree)
+    agree = Observation(reads={(2, 0): [(0, 0, 0), INIT],
+                               (3, 0): [(1, 0, 0), (0, 0, 0)]}, final=final)
+    assert sc_explainable(iriw, agree)
+
+
+def test_oracle_rejects_corr_going_backwards():
+    corr = prog({(0, 0): [S(0), S(0)], (1, 0): [L(0), L(0)]}, n_addrs=1)
+    final = {0: (0, 0, 1)}
+    for backwards in ([(0, 0, 1), (0, 0, 0)], [(0, 0, 0), INIT]):
+        obs = Observation(reads={(1, 0): backwards}, final=final)
+        assert not sc_explainable(corr, obs)
+    forwards = Observation(reads={(1, 0): [(0, 0, 0), (0, 0, 1)]},
+                           final=final)
+    assert sc_explainable(corr, forwards)
+
+
 def test_oracle_atomics_serialize():
     contended = prog({(0, 0): [A(0)], (1, 0): [A(0)]}, n_addrs=1)
     serialized = Observation(reads={(0, 0): [INIT], (1, 0): [(0, 0, 0)]},

@@ -1,67 +1,45 @@
-"""Litmus tests across protocols and physical interleavings.
+"""The classic litmus shapes across protocols and physical interleavings.
 
-SC protocols must never exhibit the forbidden outcomes even without
-fences; WO protocols must not exhibit them when fully fenced (except IRIW
-under TC-weak, which gives up write atomicity — the paper's reason TCW
-cannot implement SC).
+Each shape (MP, SB, LB, IRIW, CoRR) is a corpus program
+(``tests/corpus/<shape>.trace``), run through the simulator at several
+staggers and judged by the SC oracle and, for SC protocols, the witness
+checker. SC protocols must be SC without fences; WO protocols must be SC
+when every memory op is fenced, except IRIW under TC-weak, which gives
+up write atomicity (the paper's reason TCW cannot implement SC).
 """
+
+import os
 
 import pytest
 
-from repro.consistency import litmus as L
+from repro.fuzz.corpus import load_program
+from repro.fuzz.differential import DifferentialRunner
 from tests.conftest import SC_PROTOCOLS, WO_PROTOCOLS
 
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+SHAPES = ["mp", "sb", "lb", "iriw", "corr"]
 STAGGERS = [0, 13, 57, 101, 199]
 
-CASES = [
-    ("mp", L.mp_program, L.mp_forbidden),
-    ("sb", L.sb_program, L.sb_forbidden),
-    ("lb", L.lb_program, L.lb_forbidden),
-    ("iriw", L.iriw_program, L.iriw_forbidden),
-    ("corr", L.corr_program, L.corr_forbidden),
-]
+
+def _assert_sc(cfg, protocol, shape, fenced):
+    runner = DifferentialRunner(cfg=cfg, protocols=[protocol])
+    program = load_program(os.path.join(CORPUS, f"{shape}.trace"))
+    for stagger in STAGGERS:
+        verdict = runner.check_program(program.staggered(stagger, fenced))
+        assert verdict.passed and \
+            verdict.outcomes[protocol].oracle_verdict is True, (
+                f"{protocol} {shape} (fenced={fenced}, stagger={stagger}): "
+                f"{verdict.failures or 'no SC interleaving explains it'}")
 
 
 @pytest.mark.parametrize("protocol", SC_PROTOCOLS)
-@pytest.mark.parametrize("name,program,forbidden", CASES)
-def test_sc_protocols_forbid_without_fences(small_cfg, protocol, name,
-                                            program, forbidden):
-    for stagger in STAGGERS:
-        res = L.run_litmus(name, small_cfg, protocol, program(),
-                           stagger=stagger)
-        assert not forbidden(res), (
-            f"{protocol} exhibited forbidden {name} outcome "
-            f"(stagger={stagger})")
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sc_protocols_forbid_without_fences(small_cfg, protocol, shape):
+    _assert_sc(small_cfg, protocol, shape, fenced=False)
 
 
-@pytest.mark.parametrize("protocol", WO_PROTOCOLS)
-@pytest.mark.parametrize("name,program,forbidden", [
-    c for c in CASES if c[0] != "iriw"
+@pytest.mark.parametrize("shape,protocol", [
+    (s, p) for s in SHAPES for p in WO_PROTOCOLS if (s, p) != ("iriw", "TCW")
 ])
-def test_wo_protocols_forbid_when_fenced(small_cfg, protocol, name,
-                                         program, forbidden):
-    for stagger in STAGGERS:
-        res = L.run_litmus(name, small_cfg, protocol, program(),
-                           use_fences=True, stagger=stagger)
-        assert not forbidden(res), (
-            f"{protocol} fenced {name} exhibited forbidden outcome "
-            f"(stagger={stagger})")
-
-
-@pytest.mark.parametrize("name,program,forbidden", [
-    c for c in CASES if c[0] in ("mp", "corr")
-])
-def test_rcc_wo_fenced_strong_patterns(small_cfg, name, program, forbidden):
-    """RCC-WO keeps write atomicity (unlike TCW): fenced MP/CoRR hold."""
-    for stagger in STAGGERS:
-        res = L.run_litmus(name, small_cfg, "RCC-WO", program(),
-                           use_fences=True, stagger=stagger)
-        assert not forbidden(res)
-
-
-def test_litmus_result_indexing(small_cfg):
-    res = L.run_litmus("mp", small_cfg, "RCC", L.mp_program())
-    # C0 wrote twice, C1 read twice.
-    assert res.wrote(0, 0) != res.wrote(0, 1)
-    assert res.read(1, 0) is not None
-    assert res.read(1, 1) is not None
+def test_wo_protocols_forbid_when_fenced(small_cfg, protocol, shape):
+    _assert_sc(small_cfg, protocol, shape, fenced=True)

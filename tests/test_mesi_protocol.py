@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.types import MemOpKind
+from repro.config import GPUConfig
+from repro.exec import SimCell, run_cell
 from repro.gpu.trace import atomic_op, compute_op, load_op, store_op
 from repro.sim.gpusim import GPUSimulator
 from tests.conftest import program_traces
@@ -97,6 +99,18 @@ def test_l2_eviction_recalls_sharers(tiny_cfg):
     sim = build(tiny_cfg, "MESI", {(0, 0): ops})
     res = sim.run()
     assert res.l2_evictions > 0
+
+
+@pytest.mark.parametrize("protocol", ["MESI", "SC-IDEAL"])
+def test_every_dropped_copy_is_counted_at_the_l2(protocol):
+    """Write invalidations and eviction recalls both count toward the L2's
+    ``invalidations_sent``, so it matches what the L1s received (kmn
+    evicts lines that have sharers)."""
+    cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
+                   workload="kmn", intensity=0.25)
+    res = run_cell(cell)
+    assert res.l2_evictions > 0
+    assert res.l2_invalidations_sent == res.l1_invalidations > 0
 
 
 def test_ideal_store_no_invalidate_latency(tiny_cfg):

@@ -59,10 +59,6 @@ class TestSimResultMetrics:
         wl = get_workload("dlb", intensity=0.2)
         return run_simulation(cfg, "RCC", wl.generate(cfg), "dlb")
 
-    def test_ipc_proxy(self, result):
-        assert result.ipc_proxy == pytest.approx(
-            1000 * result.mem_ops / result.cycles)
-
     def test_latency_fractions_bounded(self, result):
         assert 0 <= result.sc_stall_fraction <= 1
         assert 0 <= result.sc_stall_store_fraction <= 1

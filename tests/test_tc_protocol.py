@@ -19,8 +19,7 @@ def build(cfg, protocol, programs, **kw):
 def fixed_lease_cfg(lease=200):
     cfg = GPUConfig.small().replace(
         n_cores=2, warps_per_core=2,
-        tc=TCConfig(lease_min=lease, lease_default=lease, lease_max=lease,
-                    predictor_enabled=False))
+        tc=TCConfig(lease_min=lease, lease_default=lease, lease_max=lease))
     return cfg
 
 
@@ -122,7 +121,6 @@ def test_tcw_gwct_tracked_per_warp():
 
 def test_tc_predictor_adapts():
     cfg = GPUConfig.small().replace(n_cores=2, warps_per_core=2)
-    assert cfg.tc.predictor_enabled
     sim = build(cfg, "TCS", {
         (0, 0): [load_op(0), store_op(0), load_op(0), store_op(0)],
     })

@@ -28,14 +28,11 @@ class TestLogicalClock:
         with pytest.raises(SimulationError):
             clk.advance_to(256)
 
-    def test_reset_bumps_epoch(self):
+    def test_reset_returns_to_zero(self):
         clk = LogicalClock(bits=8)
         clk.advance_to(200)
-        key_before = clk.global_key()
         clk.reset()
         assert clk.value == 0
-        assert clk.epoch == 1
-        assert clk.global_key() > key_before
 
     def test_guard_band_covers_one_transaction(self):
         assert timestamp_guard_band(2048) > 2 * 2048
